@@ -227,13 +227,17 @@ fn units_to_eps(units: u64) -> f64 {
 
 /// A thread-safe sequential-composition accountant with an optional cap.
 ///
-/// Enforcement is **lock-free**: the spend path converts ε to fixed-point
-/// units ([`BudgetAccountant::RESOLUTION`]) and admits the debit with one
-/// CAS loop on an atomic counter — all-or-nothing, order-independent, and
-/// contention-free for concurrent spenders. Only the human-readable entry
-/// ledger sits behind a mutex, appended *after* the atomic grant; under
-/// concurrency the ledger's entry order may therefore differ from grant
-/// order, but its contents (and every total) are exact.
+/// Enforcement is **lock-free**: [`BudgetAccountant::grant`] converts each
+/// debit to fixed-point units ([`BudgetAccountant::RESOLUTION`]) and admits
+/// the sum with one CAS loop on an atomic counter — all-or-nothing,
+/// order-independent, and contention-free for concurrent spenders.
+///
+/// `grant` touches the counter only. Engine sessions call it directly and
+/// keep their ledger in their audit log, so a session's accountant holds no
+/// entries. Standalone callers use [`BudgetAccountant::spend`] and
+/// [`BudgetAccountant::spend_batch`], which grant and then append
+/// human-readable entries behind a mutex; under concurrency the entry order
+/// may differ from grant order, but the contents and totals are exact.
 ///
 /// ```
 /// use osdp_core::{BudgetAccountant, PrivacyGuarantee};
@@ -319,18 +323,35 @@ impl BudgetAccountant {
         self.limit
     }
 
-    /// The atomic grant: admits `units` against the cap with a CAS loop, or
-    /// reports the remaining budget (in ε) without spending anything. This
-    /// is the only decision point — no lock is ever taken to enforce the
-    /// cap, so concurrent grants never serialize against each other or
-    /// against ledger readers.
-    fn try_grant_units(&self, units: u64) -> std::result::Result<(), f64> {
+    /// The atomic grant: admits a batch of debits against the cap at one
+    /// CAS, all-or-nothing, and records nothing but the counter.
+    ///
+    /// The batch costs the integer sum of the per-debit fixed-point units,
+    /// so a granted batch spends *exactly* what the same debits granted one
+    /// by one would have. This is the only decision point — no lock is ever
+    /// taken to enforce the cap, so concurrent grants never serialize
+    /// against each other or against ledger readers.
+    ///
+    /// Fails without spending anything on an invalid ε, or with
+    /// [`OsdpError::BudgetExhausted`] (requesting the float sum of the
+    /// batch) when the cap cannot cover it.
+    pub fn grant(&self, epsilons: impl IntoIterator<Item = f64>) -> Result<()> {
+        let mut units = 0u64;
+        let mut requested = 0.0;
+        for epsilon in epsilons {
+            validate_epsilon(epsilon)?;
+            units = units.saturating_add(eps_to_units(epsilon));
+            requested += epsilon;
+        }
         let mut spent = self.spent_units.load(Ordering::Acquire);
         loop {
             if let Some(limit_units) = self.limit_units {
                 let remaining = limit_units.saturating_sub(spent);
                 if units > remaining {
-                    return Err(units_to_eps(remaining));
+                    return Err(OsdpError::BudgetExhausted {
+                        requested,
+                        remaining: units_to_eps(remaining),
+                    });
                 }
             }
             match self.spent_units.compare_exchange_weak(
@@ -345,7 +366,8 @@ impl BudgetAccountant {
         }
     }
 
-    /// Records an ε expenditure under sequential composition.
+    /// Records an ε expenditure under sequential composition: a
+    /// [`BudgetAccountant::grant`] of one debit plus one ledger entry.
     ///
     /// Fails (and records nothing) if the cap would be exceeded.
     pub fn spend(
@@ -355,9 +377,7 @@ impl BudgetAccountant {
         epsilon: f64,
         guarantee: PrivacyGuarantee,
     ) -> Result<()> {
-        validate_epsilon(epsilon)?;
-        self.try_grant_units(eps_to_units(epsilon))
-            .map_err(|remaining| OsdpError::BudgetExhausted { requested: epsilon, remaining })?;
+        self.grant([epsilon])?;
         self.entries.lock().push(LedgerEntry {
             label: label.into(),
             policy: policy.into(),
@@ -368,26 +388,13 @@ impl BudgetAccountant {
     }
 
     /// Records a batch of sequential-composition expenditures **atomically**:
-    /// either every entry is admitted (one ledger entry each, in order) or —
-    /// when the cap cannot cover the batch total — none is, and the ledger
-    /// is untouched.
-    ///
-    /// The batch total is the integer sum of the per-entry fixed-point
-    /// debits, so a granted batch spends *exactly* what the same entries
-    /// granted one by one would have: all-or-nothing at a single CAS, with
-    /// no tolerance arithmetic racing a higher layer's.
+    /// a [`BudgetAccountant::grant`] of the whole batch, then one ledger
+    /// entry per debit, in order. When the cap cannot cover the batch
+    /// total, nothing is spent and the ledger is untouched.
     ///
     /// `entries` is a list of `(label, policy, epsilon, guarantee)` tuples.
     pub fn spend_batch(&self, entries: &[(String, String, f64, PrivacyGuarantee)]) -> Result<()> {
-        let mut total_units = 0u64;
-        let mut total = 0.0;
-        for &(_, _, epsilon, _) in entries {
-            validate_epsilon(epsilon)?;
-            total_units = total_units.saturating_add(eps_to_units(epsilon));
-            total += epsilon;
-        }
-        self.try_grant_units(total_units)
-            .map_err(|remaining| OsdpError::BudgetExhausted { requested: total, remaining })?;
+        self.grant(entries.iter().map(|&(_, _, epsilon, _)| epsilon))?;
         let mut ledger = self.entries.lock();
         for (label, policy, epsilon, guarantee) in entries {
             ledger.push(LedgerEntry {
@@ -450,29 +457,13 @@ impl BudgetAccountant {
         self.limit_units.map(|limit| units_to_eps(limit.saturating_sub(spent)))
     }
 
-    /// A snapshot of the ledger.
+    /// A snapshot of the entry ledger that [`BudgetAccountant::spend`],
+    /// [`BudgetAccountant::spend_batch`] and
+    /// [`BudgetAccountant::spend_parallel`] append to. Empty for an engine
+    /// session's accountant: sessions debit through
+    /// [`BudgetAccountant::grant`] and keep their ledger in their audit log.
     pub fn ledger(&self) -> Vec<LedgerEntry> {
         self.entries.lock().clone()
-    }
-
-    /// True if every recorded entry is plain differential privacy — in which
-    /// case the composite release is ε-DP for ε = [`Self::total_spent`].
-    pub fn is_pure_dp(&self) -> bool {
-        self.entries.lock().iter().all(|e| e.guarantee == PrivacyGuarantee::DifferentialPrivacy)
-    }
-
-    /// Summarises the OSDP guarantee of the composed release: the total ε and
-    /// the list of policy labels whose minimum relaxation the guarantee refers
-    /// to (Theorem 3.3).
-    pub fn composed_guarantee(&self) -> (f64, Vec<String>) {
-        let entries = self.entries.lock();
-        let mut policies: Vec<String> = Vec::new();
-        for entry in entries.iter() {
-            if !policies.contains(&entry.policy) {
-                policies.push(entry.policy.clone());
-            }
-        }
-        (self.total_spent(), policies)
     }
 }
 
@@ -723,13 +714,31 @@ mod tests {
         acc.spend("m1", "P99", 0.3, PrivacyGuarantee::OneSided).unwrap();
         acc.spend("m2", "P90", 0.7, PrivacyGuarantee::OneSided).unwrap();
         assert!((acc.total_spent() - 1.0).abs() < 1e-12);
-        assert_eq!(acc.ledger().len(), 2);
         assert_eq!(acc.remaining(), None);
-        assert!(!acc.is_pure_dp());
-
-        let (eps, policies) = acc.composed_guarantee();
-        assert!((eps - 1.0).abs() < 1e-12);
+        let policies: Vec<String> = acc.ledger().into_iter().map(|e| e.policy).collect();
         assert_eq!(policies, vec!["P99".to_string(), "P90".to_string()]);
+    }
+
+    #[test]
+    fn grant_debits_the_counter_and_records_no_entry() {
+        let acc = BudgetAccountant::with_limit(1.0).unwrap();
+        acc.grant([0.25]).unwrap();
+        // A batch is admitted at one CAS and costs the sum of its per-debit
+        // units.
+        acc.grant([0.125, 0.375]).unwrap();
+        assert_eq!(acc.total_spent_units(), 750_000_000_000);
+        assert!(acc.ledger().is_empty(), "grant touches the counter only");
+        // A refused batch spends nothing and reports the batch's float sum.
+        match acc.grant([0.125, 0.25]) {
+            Err(OsdpError::BudgetExhausted { requested, remaining }) => {
+                assert_eq!(requested, 0.375);
+                assert_eq!(remaining, 0.25);
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert_eq!(acc.total_spent_units(), 750_000_000_000);
+        assert!(matches!(acc.grant([0.1, f64::NAN]), Err(OsdpError::InvalidEpsilon { .. })));
+        assert_eq!(acc.total_spent_units(), 750_000_000_000);
     }
 
     #[test]
@@ -746,7 +755,6 @@ mod tests {
         // resolution) is fine.
         acc.spend("c", "P", 0.25, PrivacyGuarantee::DifferentialPrivacy).unwrap();
         assert!(acc.remaining().unwrap().abs() < 1e-9);
-        assert!(acc.is_pure_dp());
     }
 
     #[test]

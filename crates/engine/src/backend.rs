@@ -152,10 +152,10 @@ pub trait Backend<R = Record>: Send + Sync {
 type PartitionMap<R> = HashMap<(String, usize, u64), (Arc<dyn Policy<R>>, Arc<PolicyMask>)>;
 type PartitionCache<R> = Mutex<PartitionMap<R>>;
 
-/// Cap on cached partitions per backend. Sessions bind a handful of policies
-/// (the bound one plus occasional `release_with_policy` overrides); a caller
-/// minting a fresh policy `Arc` per release would otherwise grow the cache —
-/// and the masks it pins — without bound. When the cap is hit the cache is
+/// Cap on cached partitions per backend. A session scans under one policy
+/// per epoch, and a transition invalidates the cache; a caller scanning a
+/// shared backend with a fresh policy `Arc` per plan would otherwise grow
+/// the cache — and the masks it pins — without bound. When the cap is hit the cache is
 /// cleared (it is a pure cache: results are unaffected, only recomputed).
 const PARTITION_CACHE_CAP: usize = 64;
 

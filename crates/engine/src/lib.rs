@@ -27,13 +27,14 @@
 //!   bit-for-bit identical output; future stores (sharded, streaming, SQL)
 //!   implement the same trait;
 //! * **minimum-relaxation bookkeeping** (Theorem 3.3): releases under
-//!   different policies accumulate into a
-//!   [`osdp_core::policy::MinimumRelaxation`], and
+//!   successive policy epochs compose under
+//!   [`OsdpSession::lifecycle_minimum_relaxation`], and
 //!   [`OsdpSession::composed_guarantee`] reports the total ε together with
-//!   the policy labels the composite guarantee refers to;
+//!   the policy labels the composite guarantee refers to, read from the
+//!   audit ledger (recovered history included);
 //! * an **audit log** ([`AuditLog`]) of every release — mechanism, policy,
-//!   query, guarantee — whose ledger view is consumable by
-//!   `osdp_attack::verify_ledger`;
+//!   query, guarantee — which is the session's only ledger: its ledger view
+//!   is consumable by `osdp_attack::verify_ledger`;
 //! * a **zero-allocation batch plane**: [`OsdpSession::release_trials`]
 //!   runs one trial per core via rayon, writing into a preallocated output
 //!   arena through the buffer-reuse
@@ -45,7 +46,7 @@
 //! * a **task cache** keyed by query/policy/backend identity: repeated
 //!   releases of one question run one backend scan, and
 //!   [`OsdpSession::release_pool`] amortizes that single scan plus a single
-//!   grant-lock debit across a whole mechanism pool;
+//!   atomic debit across a whole mechanism pool;
 //! * a serde-friendly **mechanism registry** ([`MechanismSpec`]): pools are
 //!   constructed by name from experiment configurations instead of being
 //!   hard-wired at each call site.
@@ -101,8 +102,7 @@
 //! Pool runners (the regret analysis of Section 6.3.3.2) release the same
 //! query through every mechanism of a pool. [`OsdpSession::release_pool`]
 //! batches the whole pool: **one** backend scan (served by the task cache),
-//! **one** grant-lock critical section debiting every mechanism
-//! all-or-nothing, and one rayon fan-out over every `(mechanism, trial)`
+//! **one** atomic grant debiting every mechanism all-or-nothing, and one rayon fan-out over every `(mechanism, trial)`
 //! pair. Accounting and estimates are identical — bitwise, for the
 //! estimates — to calling [`OsdpSession::release_trials`] once per mechanism
 //! in pool order:
@@ -229,9 +229,9 @@
 //!   all-or-nothing pool batch — is one CAS loop. Because integer addition
 //!   commutes, the admitted total is independent of the interleaving order
 //!   of concurrent spenders, and the cap can never be overshot (sequential
-//!   composition, Theorem 3.3, enforced order-free). Only the
-//!   human-readable entry ledger sits behind a mutex, appended *after* the
-//!   grant.
+//!   composition, Theorem 3.3, enforced order-free). The grant touches
+//!   the counter only: the accountant keeps no entries for a session,
+//!   whose ledger is its audit log.
 //! * **The audit log is sharded.** [`AuditLog`] appends to per-thread shard
 //!   buffers (no global append lock) and stamps each record with a monotone
 //!   sequence number from one atomic counter, which doubles as the release
@@ -241,17 +241,12 @@
 //!   release-index order. Single-threaded callers therefore observe exactly
 //!   the historical append-order log — the bitwise-parity oracle paths are
 //!   unchanged — while concurrent callers observe a total order consistent
-//!   with index allocation. Under concurrency the *accountant ledger's*
-//!   entry order may differ from audit order (both appends are
-//!   post-grant), but every entry is present and every total is exact, so
-//!   `osdp_attack::verify_ledger` verdicts are unaffected.
+//!   with index allocation.
 //! * **Caches are sharded.** The task cache hashes its identity keys
 //!   across shards holding per-key derivation slots; racing derivations of
 //!   the *same* key serialize on that key's slot and scan exactly once,
 //!   while derivations of distinct keys — even on one shard — proceed in
-//!   parallel. The policy registry behind
-//!   [`OsdpSession::composed_policy`] is a read-write lock: releases under
-//!   already-known policies only ever read.
+//!   parallel.
 //! * **Multi-tenant serving is a shard map.** [`SessionPool`] routes
 //!   releases by tenant key to per-tenant sessions through shard read
 //!   locks; per-tenant budgets are enforced independently, and the
@@ -330,8 +325,8 @@
 //!   with one vectored write + one fsync, so `k` concurrent grantors pay
 //!   ~one fsync per batch instead of one each. This is the policy that
 //!   reconciles the concurrent serving plane with `Always`-grade
-//!   durability: all five grant paths (`release`, `release_task`, trials,
-//!   pool routing, record logging) ride it with no API change, and a
+//!   durability: every release path (`release`, `release_task`, trials,
+//!   pool, record samples) shares one grant step that rides it, and a
 //!   crash mid-batch loses only grants whose call never returned — the
 //!   recovery format and the torn-tail truncation rule are unchanged.
 //! * **Single-writer-per-tenant.** Each tenant shard directory holds a

@@ -15,14 +15,10 @@ use osdp_core::{BudgetAccountant, Database, Guarantee, Histogram, Record};
 use osdp_mechanisms::{HistogramMechanism, HistogramTask, OsdpRr};
 use osdp_noise::SeedSequence;
 use osdp_persist::EpochRecord;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
-
-/// The labelled policies a session's record-level releases have used, in
-/// first-use order.
-type UsedPolicies<R> = Vec<(String, Arc<dyn Policy<R>>)>;
 
 /// One installed policy epoch: the policy object, its audit label, and the
 /// version the packed audit counter stamps while it is current.
@@ -459,14 +455,13 @@ impl<R> SessionBuilder<R> {
                 (accountant, AuditLog::new(), None, 0, Vec::new())
             }
         };
-        let policy_label = self.policy_label.unwrap_or_else(|| "P".to_string());
         let backend = match (self.db, self.backend) {
             (Some(db), None) => Some(Arc::new(RowBackend::new(db)) as Arc<dyn Backend<R>>),
             (None, Some(backend)) => Some(backend),
             _ => None,
         };
-        let label_arc: Arc<str> = Arc::from(policy_label.as_str());
-        let (source, policies) = match (backend, self.bound) {
+        let label_arc: Arc<str> = Arc::from(self.policy_label.as_deref().unwrap_or("P"));
+        let source = match (backend, self.bound) {
             (Some(backend), None) => {
                 let policy = self.policy.ok_or_else(|| {
                     OsdpError::InvalidInput(
@@ -474,7 +469,6 @@ impl<R> SessionBuilder<R> {
                             .into(),
                     )
                 })?;
-                let policies = vec![(policy_label.clone(), Arc::clone(&policy))];
                 // Recovered pre-crash epochs carry over as durable metadata
                 // (`transitions`); the builder-bound policy is installed as
                 // the current epoch at the recovered version number, so the
@@ -494,7 +488,7 @@ impl<R> SessionBuilder<R> {
                         })
                         .collect(),
                 );
-                (Source::Records { backend, epoch }, policies)
+                Source::Records { backend, epoch }
             }
             (None, Some((full, non_sensitive))) => {
                 if self.policy.is_some() {
@@ -505,7 +499,7 @@ impl<R> SessionBuilder<R> {
                     ));
                 }
                 let task = Arc::new(HistogramTask::new(full, non_sensitive)?);
-                (Source::Bound { task }, Vec::new())
+                Source::Bound { task }
             }
             _ => unreachable!("builder constructors set exactly one source"),
         };
@@ -516,7 +510,6 @@ impl<R> SessionBuilder<R> {
             seeds: SeedSequence::new(self.seed),
             audit,
             wal,
-            policies: RwLock::new(policies),
             tasks: TaskCache::new(),
             labels: Interner::new(),
             stream_labels: Interner::new(),
@@ -591,11 +584,6 @@ pub struct OsdpSession<R = Record> {
     /// [`SessionBuilder::durable`]. Grants are logged after the
     /// accountant's CAS admits them and before sampling.
     wal: Option<SessionWal>,
-    /// Distinct (label, policy) pairs used by record-level releases, in first
-    /// use order — the components of the composed minimum relaxation. Reads
-    /// (the common case) share the lock; only a release under a *new*
-    /// override policy writes.
-    policies: RwLock<UsedPolicies<R>>,
     /// Derived-task cache: one backend scan per distinct (query, policy,
     /// backend) identity, shared by every release path. Hash-sharded, so
     /// concurrent derivations of distinct queries never serialize.
@@ -618,6 +606,88 @@ impl<R> std::fmt::Debug for OsdpSession<R> {
     }
 }
 
+/// One debit of a grant: the mechanism it pays for, its per-trial
+/// guarantee, and the trials it covers (it debits `ε × trials`).
+#[derive(Clone, Copy)]
+struct Debit<'a> {
+    mechanism: &'a str,
+    guarantee: Guarantee,
+    trials: usize,
+}
+
+impl<'a> Debit<'a> {
+    fn of(mechanism: &'a dyn HistogramMechanism, trials: usize) -> Self {
+        Debit { mechanism: mechanism.name(), guarantee: mechanism.guarantee(), trials }
+    }
+
+    /// The ε this debit costs under sequential composition.
+    fn epsilon(&self) -> f64 {
+        self.guarantee.epsilon() * self.trials as f64
+    }
+}
+
+/// What a grant serves its debits from.
+enum Serve<'a, R> {
+    /// A session query: derived through the task cache under the captured
+    /// epoch, and re-derived under the stamped epoch for a debit a
+    /// transition raced.
+    Query(&'a SessionQuery<R>),
+    /// A caller-derived task, served as given: never re-derived, and its
+    /// records keep the captured epoch's label.
+    Task(&'a HistogramTask),
+    /// A record sample: drawn under the stamped epoch's policy.
+    Records,
+}
+
+/// What one granted debit samples from.
+enum Served<'a, R> {
+    /// A task from the session's cache.
+    Cached(Arc<HistogramTask>),
+    /// The caller's task.
+    Given(&'a HistogramTask),
+    /// The policy a record sample is drawn under.
+    Policy(Arc<dyn Policy<R>>),
+}
+
+impl<R> Clone for Served<'_, R> {
+    fn clone(&self) -> Self {
+        match self {
+            Served::Cached(task) => Served::Cached(Arc::clone(task)),
+            Served::Given(task) => Served::Given(task),
+            Served::Policy(policy) => Served::Policy(Arc::clone(policy)),
+        }
+    }
+}
+
+impl<R> Served<'_, R> {
+    /// The task a histogram debit samples from.
+    fn task(&self) -> &HistogramTask {
+        match self {
+            Served::Cached(task) => task,
+            Served::Given(task) => task,
+            Served::Policy(_) => unreachable!("record grants serve a policy, not a task"),
+        }
+    }
+
+    /// Histogram bins released (0 for a record sample).
+    fn bins(&self) -> usize {
+        match self {
+            Served::Policy(_) => 0,
+            _ => self.task().bins(),
+        }
+    }
+}
+
+/// One admitted debit: stamped into the audit log and logged to the WAL,
+/// ready to sample.
+struct Granted<'a, R> {
+    /// The audit index, which keys the debit's RNG streams.
+    index: u64,
+    /// The policy label the debit was stamped under.
+    label: Arc<str>,
+    served: Served<'a, R>,
+}
+
 impl<R> OsdpSession<R> {
     /// Shorthand for [`SessionBuilder::new`].
     pub fn builder(db: Database<R>) -> SessionBuilder<R> {
@@ -629,7 +699,10 @@ impl<R> OsdpSession<R> {
         &self.policy_label
     }
 
-    /// The session's budget accountant.
+    /// The session's budget accountant: the atomic spend counter every
+    /// grant debits. It holds no ledger entries — the session's ledger is
+    /// its audit log ([`OsdpSession::audit_ledger`]), which also covers the
+    /// history a durable session recovered.
     pub fn accountant(&self) -> &BudgetAccountant {
         &self.accountant
     }
@@ -649,28 +722,6 @@ impl<R> OsdpSession<R> {
         self.wal.as_ref()
     }
 
-    /// The WAL half of the grant path: logs an admitted grant after the
-    /// accountant's CAS and the audit append, **before** sampling. An IO
-    /// failure refuses the release (the ε stays spent and audited — the
-    /// conservative direction; a sample must never outrun its durable
-    /// record). No-op without persistence.
-    fn wal_grant(&self, event: GrantEvent<'_>) -> Result<()> {
-        match &self.wal {
-            Some(wal) => wal.log_grant(event),
-            None => Ok(()),
-        }
-    }
-
-    /// Logs a budget refusal to the WAL (best-effort: refusals spend
-    /// nothing, so a lost refusal record never unbalances recovery) and
-    /// passes the error through.
-    fn wal_refused(&self, mechanism: &str, requested: f64, err: OsdpError) -> OsdpError {
-        if let (Some(wal), OsdpError::BudgetExhausted { .. }) = (&self.wal, &err) {
-            let _ = wal.log_refusal(mechanism, requested);
-        }
-        err
-    }
-
     /// Total ε spent so far.
     pub fn total_spent(&self) -> f64 {
         self.accountant.total_spent()
@@ -683,17 +734,18 @@ impl<R> OsdpSession<R> {
 
     /// The composed guarantee of everything released so far (Theorem 3.3):
     /// total ε and the labels of the policies whose minimum relaxation the
-    /// guarantee refers to.
+    /// guarantee refers to, in first-use order. Read from the audit ledger,
+    /// so a recovered session reports its pre-crash releases too; the
+    /// policy objects themselves compose in
+    /// [`OsdpSession::lifecycle_minimum_relaxation`].
     pub fn composed_guarantee(&self) -> (f64, Vec<String>) {
-        self.accountant.composed_guarantee()
-    }
-
-    /// The minimum relaxation of every policy used by record-level releases
-    /// in this session (Definition 3.6) — the policy the composed guarantee
-    /// of Theorem 3.3 refers to. Empty (all-sensitive) for histogram-backed
-    /// sessions, whose policies exist only as sampled sub-histograms.
-    pub fn composed_policy(&self) -> MinimumRelaxation<R> {
-        MinimumRelaxation::new(self.policies.read().iter().map(|(_, p)| Arc::clone(p)).collect())
+        let mut policies: Vec<String> = Vec::new();
+        for entry in self.audit.ledger() {
+            if !policies.contains(&entry.policy) {
+                policies.push(entry.policy);
+            }
+        }
+        (self.audit.total_epsilon(), policies)
     }
 
     /// A snapshot of the audit log. O(n) — merged from the log's shard
@@ -725,7 +777,8 @@ impl<R> OsdpSession<R> {
         self.audit.total_epsilon_units()
     }
 
-    /// The audit log's ledger view, consumable by
+    /// The session's ledger — the audit log's view (recovered base first,
+    /// then one entry per release), consumable by
     /// `osdp_attack::verify_ledger`.
     pub fn audit_ledger(&self) -> Vec<osdp_core::budget::LedgerEntry> {
         self.audit.ledger()
@@ -767,12 +820,9 @@ impl<R> OsdpSession<R> {
         }
     }
 
-    /// The cache-aware task derivation behind every release path. Keyed by
-    /// the identities that determine the scan result (query closure, policy,
-    /// backend) **plus the policy epoch version**, so a transition can never
-    /// serve a pre-transition task to a post-transition release; mismatched
-    /// source/query combinations fall through to the scan path, which
-    /// reports the precise error.
+    /// The cache-aware task derivation behind every release path, under
+    /// the current epoch. Mismatched source/query combinations fall through
+    /// to the scan path, which reports the precise error.
     fn cached_task(&self, query: &SessionQuery<R>) -> Result<Arc<HistogramTask>> {
         match &self.source {
             Source::Bound { task } => match query {
@@ -781,23 +831,21 @@ impl<R> OsdpSession<R> {
                     "histogram-backed sessions only answer SessionQuery::Bound".into(),
                 )),
             },
-            Source::Records { epoch, .. } => {
-                let e = epoch.current();
-                self.cached_task_under(query, &e.policy, &e.label, e.version)
-            }
+            Source::Records { epoch, .. } => self.cached_task_under(query, epoch.current()),
         }
     }
 
-    /// [`cached_task`](Self::cached_task) pinned to an **explicit** epoch
-    /// `(policy, label, version)`. The release path captures the epoch once
-    /// and derives under the capture, so a transition racing the release
-    /// can never tear the (policy, version) pair.
+    /// [`cached_task`](Self::cached_task) pinned to an **explicit** epoch.
+    /// Keyed by the identities that determine the scan result (query
+    /// closure, policy, backend) **plus the epoch version**, so a
+    /// transition can never serve a pre-transition task to a
+    /// post-transition release. The grant step captures the epoch once and
+    /// derives under the capture, so a racing transition can never tear
+    /// the (policy, version) pair.
     fn cached_task_under(
         &self,
         query: &SessionQuery<R>,
-        policy: &Arc<dyn Policy<R>>,
-        policy_label: &Arc<str>,
-        policy_version: u64,
+        epoch: &EpochState<R>,
     ) -> Result<Arc<HistogramTask>> {
         match (&self.source, query) {
             (Source::Records { backend, .. }, SessionQuery::CountBy { bins, bin_of, spec, .. }) => {
@@ -805,19 +853,13 @@ impl<R> OsdpSession<R> {
                     *bins,
                     bin_of,
                     spec.as_ref(),
-                    policy,
-                    policy_version,
+                    &epoch.policy,
+                    epoch.version,
                     backend,
-                    || {
-                        self.scan_under(query, Some(policy), policy_label, policy_version)?
-                            .into_task()
-                    },
+                    || self.scan_under(query, Some(epoch))?.into_task(),
                 )
             }
-            _ => self
-                .scan_under(query, Some(policy), policy_label, policy_version)?
-                .into_task()
-                .map(Arc::new),
+            _ => self.scan_under(query, Some(epoch))?.into_task().map(Arc::new),
         }
     }
 
@@ -825,32 +867,15 @@ impl<R> OsdpSession<R> {
     /// returning the raw [`HistogramPair`] — including the weight of records
     /// the query dropped, which [`OsdpSession::derive_task`] discards.
     pub fn scan(&self, query: &SessionQuery<R>) -> Result<HistogramPair> {
-        match self.current_epoch() {
-            Some(e) => self.scan_under(query, Some(&e.policy), &e.label, e.version),
-            None => self.scan_under(query, None, &self.policy_label, 0),
-        }
+        self.scan_under(query, None)
     }
 
-    fn derive_task_under(
-        &self,
-        query: &SessionQuery<R>,
-        policy_override: Option<&Arc<dyn Policy<R>>>,
-        policy_label: &str,
-    ) -> Result<HistogramTask> {
-        match (&self.source, query) {
-            (Source::Bound { task }, SessionQuery::Bound) => Ok((**task).clone()),
-            _ => self
-                .scan_under(query, policy_override, policy_label, self.audit.current_version())?
-                .into_task(),
-        }
-    }
-
+    /// The backend scan under `epoch`, or under the current epoch when
+    /// `None`.
     fn scan_under(
         &self,
         query: &SessionQuery<R>,
-        policy_override: Option<&Arc<dyn Policy<R>>>,
-        policy_label: &str,
-        policy_version: u64,
+        epoch: Option<&EpochState<R>>,
     ) -> Result<HistogramPair> {
         match (&self.source, query) {
             (Source::Bound { task }, SessionQuery::Bound) => Ok(HistogramPair {
@@ -865,24 +890,172 @@ impl<R> OsdpSession<R> {
                 "record-backed sessions need a SessionQuery::CountBy query".into(),
             )),
             (
-                Source::Records { backend, epoch },
+                Source::Records { backend, epoch: cell },
                 SessionQuery::CountBy { label, bins, bin_of, spec },
             ) => {
-                let policy = match policy_override {
-                    Some(policy) => policy,
-                    None => &epoch.current().policy,
-                };
+                let epoch = epoch.unwrap_or_else(|| cell.current());
                 let plan = QueryPlan {
                     label: label.clone(),
                     bins: *bins,
                     bin_of: Arc::clone(bin_of),
                     bin_spec: spec.clone(),
-                    policy: Arc::clone(policy),
-                    policy_label: policy_label.to_string(),
-                    policy_version,
+                    policy: Arc::clone(&epoch.policy),
+                    policy_label: epoch.label.to_string(),
+                    policy_version: epoch.version,
                 };
                 backend.scan(&plan)
             }
+        }
+    }
+
+    /// Resolves what `serve` samples from under `epoch` (`None` for
+    /// histogram-backed sessions).
+    fn serve<'a>(
+        &'a self,
+        serve: &Serve<'a, R>,
+        epoch: Option<&EpochState<R>>,
+    ) -> Result<Served<'a, R>> {
+        Ok(match (serve, epoch) {
+            (Serve::Query(query), Some(epoch)) => {
+                Served::Cached(self.cached_task_under(query, epoch)?)
+            }
+            (Serve::Query(query), None) => Served::Cached(self.cached_task(query)?),
+            (Serve::Task(task), _) => Served::Given(task),
+            (Serve::Records, Some(epoch)) => Served::Policy(Arc::clone(&epoch.policy)),
+            (Serve::Records, None) => {
+                return Err(OsdpError::InvalidInput(
+                    "release_records needs a record-backed session".into(),
+                ))
+            }
+        })
+    }
+
+    /// The grant step every release path takes before it samples — the one
+    /// place the budget invariant is enforced:
+    ///
+    /// 1. capture the epoch once (one atomic load, no lock) and resolve
+    ///    what the debits serve under it;
+    /// 2. debit all `debits` at **one** CAS on the accountant, all or
+    ///    nothing — a refusal spends, stamps and samples nothing, and is
+    ///    logged to the WAL under `refusal`;
+    /// 3. per debit, in order: stamp the audit record — the packed counter
+    ///    hands out `(index, version)` in one atomic add — then, if a
+    ///    transition raced in after the capture, relabel the record to the
+    ///    stamped epoch and re-resolve under it (the stamped epoch is
+    ///    always installed, because transitions swap the epoch pointer
+    ///    *before* bumping the counter), and log the grant to the WAL
+    ///    before any noise exists. A WAL failure refuses the release with
+    ///    the ε spent and audited — the conservative direction.
+    ///
+    /// `each` receives every granted debit in order.
+    fn grant<'a>(
+        &'a self,
+        serve: Serve<'a, R>,
+        query: &str,
+        debits: &[Debit<'_>],
+        refusal: &str,
+        mut each: impl FnMut(Granted<'a, R>),
+    ) -> Result<()> {
+        let cell = match &self.source {
+            Source::Records { epoch, .. } => Some(epoch),
+            Source::Bound { .. } => None,
+        };
+        let captured = cell.map(EpochCell::current);
+        let served = self.serve(&serve, captured)?;
+        let captured_label = captured.map_or(&self.policy_label, |e| &e.label);
+        let captured_version = captured.map_or(0, |e| e.version);
+        let rederive = if matches!(serve, Serve::Task(_)) { None } else { cell };
+        let query = self.labels.get(query);
+        let bins = served.bins();
+        self.accountant.grant(debits.iter().map(Debit::epsilon)).inspect_err(|err| {
+            if let (Some(wal), OsdpError::BudgetExhausted { requested, .. }) = (&self.wal, err) {
+                // Best-effort: refusals spend nothing, so a lost refusal
+                // record never unbalances recovery.
+                let _ = wal.log_refusal(refusal, *requested);
+            }
+        })?;
+        for debit in debits {
+            let mechanism = self.labels.get(debit.mechanism);
+            let mut label = Arc::clone(captured_label);
+            let mut stamped = None;
+            let (index, version) = self.audit.append_versioned(|index, version| {
+                if version != captured_version {
+                    stamped = rederive.and_then(|cell| cell.state(version));
+                    if let Some(state) = &stamped {
+                        label = Arc::clone(&state.label);
+                    }
+                }
+                AuditRecord {
+                    index,
+                    mechanism,
+                    policy: Arc::clone(&label),
+                    query: Arc::clone(&query),
+                    bins,
+                    trials: debit.trials,
+                    guarantee: debit.guarantee,
+                    policy_version: version,
+                }
+            });
+            // Rare slow path: a transition raced in — serve under the
+            // stamped epoch. Racing grants share the re-derivation through
+            // the cache.
+            let served = match &stamped {
+                Some(state) => self.serve(&serve, Some(state))?,
+                None => served.clone(),
+            };
+            if let Some(wal) = &self.wal {
+                wal.log_grant(GrantEvent {
+                    index,
+                    mechanism: debit.mechanism,
+                    policy: &label,
+                    query: &query,
+                    bins,
+                    trials: debit.trials,
+                    guarantee: debit.guarantee,
+                    policy_version: version,
+                })?;
+            }
+            each(Granted { index, label, served });
+        }
+        Ok(())
+    }
+
+    /// [`OsdpSession::grant`] of a single debit, refused under its
+    /// mechanism's name.
+    fn grant_one<'a>(
+        &'a self,
+        serve: Serve<'a, R>,
+        query: &str,
+        debit: Debit<'_>,
+    ) -> Result<Granted<'a, R>> {
+        let mut granted = None;
+        self.grant(serve, query, &[debit], debit.mechanism, |g| granted = Some(g))?;
+        Ok(granted.expect("a granted debit is stamped"))
+    }
+
+    /// Samples a granted single release on the `(seed,
+    /// "release/<mechanism>", index)` stream. [`OsdpSession::release`] and
+    /// [`OsdpSession::release_task`] both end here, which is what keeps the
+    /// stream plane's bitwise-parity contract with the one-shot oracle
+    /// honest.
+    fn sample_release(
+        &self,
+        granted: Granted<'_, R>,
+        mechanism: &dyn HistogramMechanism,
+    ) -> Release {
+        // Interned stream label: same content as the historical
+        // `format!("release/{name}")`, built once per mechanism name.
+        let stream =
+            self.stream_labels.get_with(mechanism.name(), |name| format!("release/{name}"));
+        let mut rng = self.seeds.rng_for(&stream, granted.index);
+        let mut estimate = Histogram::zeros(0);
+        mechanism.release_into(granted.served.task(), &mut rng, &mut estimate);
+        Release {
+            estimate,
+            mechanism: mechanism.name().to_string(),
+            policy: granted.label.to_string(),
+            guarantee: mechanism.guarantee(),
+            index: granted.index,
         }
     }
 
@@ -896,202 +1069,9 @@ impl<R> OsdpSession<R> {
         query: &SessionQuery<R>,
         mechanism: &dyn HistogramMechanism,
     ) -> Result<Release> {
-        self.release_inner(query, mechanism, None, Arc::clone(&self.policy_label))
-    }
-
-    /// Releases under a *different* policy than the one bound at
-    /// construction. The session tracks the minimum relaxation of every
-    /// policy used (Theorem 3.3); see [`OsdpSession::composed_policy`].
-    /// Record-backed sessions only.
-    pub fn release_with_policy(
-        &self,
-        query: &SessionQuery<R>,
-        mechanism: &dyn HistogramMechanism,
-        policy: Arc<dyn Policy<R>>,
-        label: impl Into<String>,
-    ) -> Result<Release> {
-        if matches!(self.source, Source::Bound { .. }) {
-            return Err(OsdpError::InvalidInput(
-                "histogram-backed sessions have a fixed sampled policy".into(),
-            ));
-        }
-        let label = self.labels.get(&label.into());
-        self.release_inner(query, mechanism, Some(policy), label)
-    }
-
-    fn release_inner(
-        &self,
-        query: &SessionQuery<R>,
-        mechanism: &dyn HistogramMechanism,
-        policy_override: Option<Arc<dyn Policy<R>>>,
-        policy_label: Arc<str>,
-    ) -> Result<Release> {
-        // Capture the epoch once (one atomic load — the grant path stays
-        // lock-free) and derive under the capture. Policy overrides bypass
-        // both the task cache and the epoch protocol: their records stamp
-        // whatever version is in force, but never relabel or re-derive.
-        let (task, policy_label, captured_version, requery) = match &policy_override {
-            None => match &self.source {
-                Source::Records { epoch, .. } => {
-                    let e = epoch.current();
-                    (
-                        self.cached_task_under(query, &e.policy, &e.label, e.version)?,
-                        Arc::clone(&e.label),
-                        e.version,
-                        Some(query),
-                    )
-                }
-                Source::Bound { .. } => (self.cached_task(query)?, policy_label, 0, None),
-            },
-            Some(_) => (
-                Arc::new(self.derive_task_under(query, policy_override.as_ref(), &policy_label)?),
-                policy_label,
-                self.audit.current_version(),
-                None,
-            ),
-        };
-        let query_label = self.labels.get(query.label());
-        // Debit before sampling: a refused spend must not leak a sample. The
-        // grant is one CAS on the accountant's atomic spend counter — no
-        // lock — and the audit append allocates its index from the log's own
-        // atomic sequence, so concurrent releases never serialize here.
-        let guarantee = mechanism.guarantee();
-        self.accountant
-            .spend(mechanism.name(), &*policy_label, guarantee.epsilon(), guarantee.kind())
-            .map_err(|e| self.wal_refused(mechanism.name(), guarantee.epsilon(), e))?;
-        if let Some(policy) = policy_override {
-            self.remember_policy(&policy_label, policy);
-        }
-        self.sample_granted_release(
-            &task,
-            mechanism,
-            guarantee,
-            policy_label,
-            query_label,
-            captured_version,
-            requery,
-        )
-    }
-
-    /// Allocates the next audit index through the packed counter and appends
-    /// the audit record — the single stamping point of every release path.
-    ///
-    /// The counter hands out `(index, version)` in **one** atomic add, so
-    /// the stamped version is exactly the one in force at this release's
-    /// sequence number. When a transition raced in after the caller captured
-    /// its epoch (`version != captured_version` with `rederive` set), the
-    /// stamped epoch's state is resolved from the pinned history — it is
-    /// guaranteed installed, because transitions swap the epoch pointer
-    /// *before* bumping the counter — and the record is relabelled to it.
-    /// Returns `(index, version, effective label, stamped state if the
-    /// caller must re-derive)`.
-    #[allow(clippy::too_many_arguments)]
-    fn stamp_release(
-        &self,
-        captured_version: u64,
-        rederive: bool,
-        policy_label: Arc<str>,
-        mechanism_label: Arc<str>,
-        query_label: &Arc<str>,
-        bins: usize,
-        trials: usize,
-        guarantee: Guarantee,
-    ) -> (u64, u64, Arc<str>, Option<Arc<EpochState<R>>>) {
-        let mut label = policy_label;
-        let mut stamped = None;
-        let (index, version) = self.audit.append_versioned(|index, version| {
-            if rederive && version != captured_version {
-                if let Source::Records { epoch, .. } = &self.source {
-                    if let Some(state) = epoch.state(version) {
-                        label = Arc::clone(&state.label);
-                        stamped = Some(state);
-                    }
-                }
-            }
-            AuditRecord {
-                index,
-                mechanism: mechanism_label,
-                policy: Arc::clone(&label),
-                query: Arc::clone(query_label),
-                bins,
-                trials,
-                guarantee,
-                policy_version: version,
-            }
-        });
-        (index, version, label, stamped)
-    }
-
-    /// The shared post-grant tail of every single release — one-shot
-    /// ([`OsdpSession::release`]) and task-level
-    /// ([`OsdpSession::release_task`]) alike: append the audit record
-    /// (allocating the release index and version stamp), derive the `(seed,
-    /// "release/<mechanism>", index)` RNG stream, and sample. Keeping both
-    /// paths on this one function is what keeps the stream plane's
-    /// bitwise-parity contract with the one-shot oracle honest: any change
-    /// to the audit/stream/index sequence lands on both at once.
-    ///
-    /// `requery` is the epoch re-derivation hook: when set and a transition
-    /// landed between the caller's epoch capture (`captured_version`) and
-    /// index allocation, the task is re-derived under the **stamped** epoch
-    /// through the version-keyed cache, so no release is ever served a task
-    /// from a stale epoch. Static-policy sessions never hit this branch.
-    #[allow(clippy::too_many_arguments)]
-    fn sample_granted_release(
-        &self,
-        task: &HistogramTask,
-        mechanism: &dyn HistogramMechanism,
-        guarantee: Guarantee,
-        policy_label: Arc<str>,
-        query_label: Arc<str>,
-        captured_version: u64,
-        requery: Option<&SessionQuery<R>>,
-    ) -> Result<Release> {
-        let mechanism_label = self.labels.get(mechanism.name());
-        let (index, version, policy_label, stamped) = self.stamp_release(
-            captured_version,
-            requery.is_some(),
-            policy_label,
-            mechanism_label,
-            &query_label,
-            task.bins(),
-            1,
-            guarantee,
-        );
-        // Rare slow path: a transition raced in — serve under the stamped
-        // epoch. Racing releases share the re-derivation through the cache.
-        let rederived = match (&stamped, requery) {
-            (Some(state), Some(query)) => {
-                Some(self.cached_task_under(query, &state.policy, &state.label, state.version)?)
-            }
-            _ => None,
-        };
-        let task = rederived.as_deref().unwrap_or(task);
-        // Durable hook: the grant reaches the WAL before any noise exists.
-        self.wal_grant(GrantEvent {
-            index,
-            mechanism: mechanism.name(),
-            policy: &policy_label,
-            query: &query_label,
-            bins: task.bins(),
-            trials: 1,
-            guarantee,
-            policy_version: version,
-        })?;
-        // Interned stream label: same content as the historical
-        // `format!("release/{name}")`, built once per mechanism name.
-        let stream =
-            self.stream_labels.get_with(mechanism.name(), |name| format!("release/{name}"));
-        let mut rng = self.seeds.rng_for(&stream, index);
-        let mut estimate = Histogram::zeros(0);
-        mechanism.release_into(task, &mut rng, &mut estimate);
-        Ok(Release {
-            estimate,
-            mechanism: mechanism.name().to_string(),
-            policy: policy_label.to_string(),
-            guarantee,
-            index,
-        })
+        let granted =
+            self.grant_one(Serve::Query(query), query.label(), Debit::of(mechanism, 1))?;
+        Ok(self.sample_release(granted, mechanism))
     }
 
     /// Releases an **externally derived** task through the session's full
@@ -1108,28 +1088,20 @@ impl<R> OsdpSession<R> {
     /// **The caller owns the task's provenance** — it must have been derived
     /// under this session's policy regime (summing per-window `(x, x_ns)`
     /// pairs preserves the domination invariant, which
-    /// [`HistogramTask::new`] re-validates on construction).
+    /// [`HistogramTask::new`] re-validates on construction). An epoch race
+    /// cannot re-derive the task either: the record is stamped with the
+    /// version in force at its index under the captured epoch's label, and
+    /// the caller's provenance obligation extends to transitions (the
+    /// streaming plane meets it by invalidating window tasks at the
+    /// transition point).
     pub fn release_task(
         &self,
         label: &str,
         task: &HistogramTask,
         mechanism: &dyn HistogramMechanism,
     ) -> Result<Release> {
-        let query_label = self.labels.get(label);
-        // The task is externally derived, so an epoch race cannot re-derive
-        // it — the record is stamped with the version in force at its index
-        // under the current epoch's label, and the caller's provenance
-        // obligation extends to transitions (the streaming plane meets it by
-        // invalidating window tasks at the transition point).
-        let policy_label = match self.current_epoch() {
-            Some(e) => Arc::clone(&e.label),
-            None => Arc::clone(&self.policy_label),
-        };
-        let guarantee = mechanism.guarantee();
-        self.accountant
-            .spend(mechanism.name(), &*policy_label, guarantee.epsilon(), guarantee.kind())
-            .map_err(|e| self.wal_refused(mechanism.name(), guarantee.epsilon(), e))?;
-        self.sample_granted_release(task, mechanism, guarantee, policy_label, query_label, 0, None)
+        let granted = self.grant_one(Serve::Task(task), label, Debit::of(mechanism, 1))?;
+        Ok(self.sample_release(granted, mechanism))
     }
 
     /// Releases `trials` independent estimates of the same query, one trial
@@ -1146,10 +1118,11 @@ impl<R> OsdpSession<R> {
         mechanism: &dyn HistogramMechanism,
         trials: usize,
     ) -> Result<Vec<Histogram>> {
-        let (task, index) = self.begin_trials(query, mechanism, trials)?;
+        let granted = self.grant_trials(query, mechanism, trials)?;
         // One stream-label format per batch (not per trial); the label
         // content is unchanged, so streams are stable across versions.
-        let stream = format!("trials/{index}/{}", mechanism.name());
+        let stream = format!("trials/{}/{}", granted.index, mechanism.name());
+        let task = granted.served.task();
         // Preallocated output arena: every estimate's buffer exists before
         // the first worker runs, and each worker fills its slot through the
         // buffer-reuse path (per-thread mechanism scratch included).
@@ -1157,7 +1130,6 @@ impl<R> OsdpSession<R> {
         let slots: Vec<(u64, &mut Histogram)> =
             arena.iter_mut().enumerate().map(|(trial, slot)| (trial as u64, slot)).collect();
         let seeds = &self.seeds;
-        let task = &*task;
         slots.into_par_iter().for_each(|(trial, slot)| {
             let mut rng = seeds.rng_for(&stream, trial);
             mechanism.release_into(task, &mut rng, slot);
@@ -1176,14 +1148,27 @@ impl<R> OsdpSession<R> {
         mechanism: &dyn HistogramMechanism,
         trials: usize,
     ) -> Result<Vec<Histogram>> {
-        let (task, index) = self.begin_trials(query, mechanism, trials)?;
-        let stream = format!("trials/{index}/{}", mechanism.name());
+        let granted = self.grant_trials(query, mechanism, trials)?;
+        let stream = format!("trials/{}/{}", granted.index, mechanism.name());
         Ok((0..trials as u64)
             .map(|trial| {
                 let mut rng = self.seeds.rng_for(&stream, trial);
-                mechanism.release(&task, &mut rng)
+                mechanism.release(granted.served.task(), &mut rng)
             })
             .collect())
+    }
+
+    /// The grant of a trial batch: one debit of `trials × ε`.
+    fn grant_trials<'a>(
+        &'a self,
+        query: &'a SessionQuery<R>,
+        mechanism: &dyn HistogramMechanism,
+        trials: usize,
+    ) -> Result<Granted<'a, R>> {
+        if trials == 0 {
+            return Err(OsdpError::InvalidInput("release_trials needs trials >= 1".into()));
+        }
+        self.grant_one(Serve::Query(query), query.label(), Debit::of(mechanism, trials))
     }
 
     /// Releases `trials` estimates of the same query through **every**
@@ -1214,91 +1199,26 @@ impl<R> OsdpSession<R> {
         if pool.is_empty() {
             return Err(OsdpError::InvalidInput("release_pool needs a non-empty pool".into()));
         }
-        // One epoch capture and one scan for the whole pool.
-        let (task, policy_label, captured_version, rederive) = match &self.source {
-            Source::Records { epoch, .. } => {
-                let e = epoch.current();
-                (
-                    self.cached_task_under(query, &e.policy, &e.label, e.version)?,
-                    Arc::clone(&e.label),
-                    e.version,
-                    true,
-                )
-            }
-            Source::Bound { .. } => {
-                (self.cached_task(query)?, Arc::clone(&self.policy_label), 0, false)
-            }
-        };
-        let query_label = self.labels.get(query.label());
-        let guarantees: Vec<Guarantee> = pool.iter().map(|m| m.guarantee()).collect();
-
-        // One atomic grant for the whole batch: the accountant's batch spend
-        // admits or refuses the pool at a single CAS (all-or-nothing), then
-        // the audit records are appended in pool order. The debit entries
-        // are identical to what a sequential per-mechanism release_trials
-        // loop would record.
-        let debits: Vec<_> = pool
-            .iter()
-            .zip(&guarantees)
-            .map(|(mechanism, guarantee)| {
-                (
-                    format!("{} x{}", mechanism.name(), trials),
-                    policy_label.to_string(),
-                    guarantee.epsilon() * trials as f64,
-                    guarantee.kind(),
-                )
-            })
-            .collect();
-        let batch_epsilon: f64 = debits.iter().map(|d| d.2).sum();
-        self.accountant
-            .spend_batch(&debits)
-            .map_err(|e| self.wal_refused(&format!("pool[{}]", pool.len()), batch_epsilon, e))?;
-        let mut indices = Vec::with_capacity(pool.len());
-        // Per-mechanism tasks: identical Arcs in the steady state; a
-        // transition racing the batch re-derives the affected suffix of the
-        // pool under its stamped epoch (shared through the cache).
-        let mut tasks: Vec<Arc<HistogramTask>> = Vec::with_capacity(pool.len());
-        for (mechanism, guarantee) in pool.iter().zip(&guarantees) {
-            let mechanism_label = self.labels.get(mechanism.name());
-            let (index, version, label, stamped) = self.stamp_release(
-                captured_version,
-                rederive,
-                Arc::clone(&policy_label),
-                mechanism_label,
-                &query_label,
-                task.bins(),
-                trials,
-                *guarantee,
-            );
-            let mech_task = match &stamped {
-                Some(state) => {
-                    self.cached_task_under(query, &state.policy, &state.label, state.version)?
-                }
-                None => Arc::clone(&task),
-            };
-            self.wal_grant(GrantEvent {
-                index,
-                mechanism: mechanism.name(),
-                policy: &label,
-                query: &query_label,
-                bins: mech_task.bins(),
-                trials,
-                guarantee: *guarantee,
-                policy_version: version,
-            })?;
-            indices.push(index);
-            tasks.push(mech_task);
-        }
+        let debits: Vec<Debit<'_>> = pool.iter().map(|&m| Debit::of(m, trials)).collect();
+        let mut granted = Vec::with_capacity(pool.len());
+        self.grant(
+            Serve::Query(query),
+            query.label(),
+            &debits,
+            &format!("pool[{}]", pool.len()),
+            |g| granted.push(g),
+        )?;
 
         // Streams are keyed exactly as release_trials keys them, so the pool
         // batch reproduces the sequential per-mechanism loop bitwise.
         let streams: Vec<String> = pool
             .iter()
-            .zip(&indices)
-            .map(|(mechanism, index)| format!("trials/{index}/{}", mechanism.name()))
+            .zip(&granted)
+            .map(|(mechanism, g)| format!("trials/{}/{}", g.index, mechanism.name()))
             .collect();
+        let bins = granted[0].served.bins();
         let mut arenas: Vec<Vec<Histogram>> =
-            (0..pool.len()).map(|_| vec![Histogram::zeros(task.bins()); trials]).collect();
+            (0..pool.len()).map(|_| vec![Histogram::zeros(bins); trials]).collect();
         let slots: Vec<(usize, u64, &mut Histogram)> = arenas
             .iter_mut()
             .enumerate()
@@ -1307,93 +1227,23 @@ impl<R> OsdpSession<R> {
             })
             .collect();
         let seeds = &self.seeds;
-        let tasks_ref = &tasks;
         slots.into_par_iter().for_each(|(mech, trial, slot)| {
             let mut rng = seeds.rng_for(&streams[mech], trial);
-            pool[mech].release_into(&tasks_ref[mech], &mut rng, slot);
+            pool[mech].release_into(granted[mech].served.task(), &mut rng, slot);
         });
 
         Ok(pool
             .iter()
-            .zip(indices)
-            .zip(guarantees)
+            .zip(&granted)
+            .zip(&debits)
             .zip(arenas)
-            .map(|(((mechanism, index), guarantee), estimates)| PoolRelease {
+            .map(|(((mechanism, g), debit), estimates)| PoolRelease {
                 mechanism: mechanism.name().to_string(),
-                index,
-                guarantee,
+                index: g.index,
+                guarantee: debit.guarantee,
                 estimates,
             })
             .collect())
-    }
-
-    /// Shared preamble of the batch paths: capture the epoch, derive the
-    /// task (cached), debit the whole batch, append the audit record,
-    /// allocate the release index — re-deriving under the stamped epoch if a
-    /// transition raced the batch.
-    fn begin_trials(
-        &self,
-        query: &SessionQuery<R>,
-        mechanism: &dyn HistogramMechanism,
-        trials: usize,
-    ) -> Result<(Arc<HistogramTask>, u64)> {
-        if trials == 0 {
-            return Err(OsdpError::InvalidInput("release_trials needs trials >= 1".into()));
-        }
-        let (task, policy_label, captured_version, rederive) = match &self.source {
-            Source::Records { epoch, .. } => {
-                let e = epoch.current();
-                (
-                    self.cached_task_under(query, &e.policy, &e.label, e.version)?,
-                    Arc::clone(&e.label),
-                    e.version,
-                    true,
-                )
-            }
-            Source::Bound { .. } => {
-                (self.cached_task(query)?, Arc::clone(&self.policy_label), 0, false)
-            }
-        };
-        let guarantee = mechanism.guarantee();
-        let mechanism_label = self.labels.get(mechanism.name());
-        let query_label = self.labels.get(query.label());
-        self.accountant
-            .spend(
-                format!("{} x{}", mechanism.name(), trials),
-                &*policy_label,
-                guarantee.epsilon() * trials as f64,
-                guarantee.kind(),
-            )
-            .map_err(|e| {
-                self.wal_refused(mechanism.name(), guarantee.epsilon() * trials as f64, e)
-            })?;
-        let (index, version, label, stamped) = self.stamp_release(
-            captured_version,
-            rederive,
-            policy_label,
-            mechanism_label,
-            &query_label,
-            task.bins(),
-            trials,
-            guarantee,
-        );
-        let task = match &stamped {
-            Some(state) => {
-                self.cached_task_under(query, &state.policy, &state.label, state.version)?
-            }
-            None => task,
-        };
-        self.wal_grant(GrantEvent {
-            index,
-            mechanism: mechanism.name(),
-            policy: &label,
-            query: &query_label,
-            bins: task.bins(),
-            trials,
-            guarantee,
-            policy_version: version,
-        })?;
-        Ok((task, index))
     }
 
     /// Transitions the session to a new policy epoch — the **slow path** of
@@ -1444,18 +1294,15 @@ impl<R> OsdpSession<R> {
             ));
         }
         // 1. Register in the core lifecycle: tighten/relax ordering and the
-        //    cross-version minimum relaxation.
+        //    cross-version minimum relaxation (Theorem 3.3 spans every
+        //    policy the session released under).
         let registry_index =
             history.registry.transition(Arc::clone(&policy), Arc::clone(&label), direction);
         let version = history.base_version + registry_index;
         // 2. Install the new state and swap the pointer BEFORE bumping the
         //    counter: any (index, version) the counter hands out afterwards
         //    can already resolve its epoch.
-        let state = Arc::new(EpochState {
-            policy: Arc::clone(&policy),
-            label: Arc::clone(&label),
-            version,
-        });
+        let state = Arc::new(EpochState { policy, label: Arc::clone(&label), version });
         let ptr = Arc::as_ptr(&state) as *mut EpochState<R>;
         history.states.push(state);
         epoch.current.store(ptr, Ordering::Release);
@@ -1469,9 +1316,6 @@ impl<R> OsdpSession<R> {
         //    caches — entries are recomputed, never wrong).
         self.tasks.clear();
         backend.invalidate_partitions();
-        // 5. The new policy joins the composed minimum relaxation
-        //    (Theorem 3.3 spans every policy the session released under).
-        self.remember_policy(&label, policy);
         let transition = EpochTransition {
             version,
             boundary_seq,
@@ -1480,7 +1324,7 @@ impl<R> OsdpSession<R> {
         };
         history.transitions.push(transition.clone());
         drop(history);
-        // 6. Durable hook: recovery replays epoch records into the exact
+        // 5. Durable hook: recovery replays epoch records into the exact
         //    version history (bit-for-bit, including boundaries).
         if let Some(wal) = &self.wal {
             wal.log_epoch_transition(&EpochRecord {
@@ -1543,24 +1387,18 @@ impl<R> OsdpSession<R> {
         )
     }
 
-    /// The minimum relaxation across the session's **epoch history**
-    /// (Definition 3.6 applied over time): the policy a guarantee composed
-    /// across transitions refers to. All-sensitive (empty) for
-    /// histogram-backed sessions.
+    /// The minimum relaxation (Definition 3.6) of every policy this
+    /// process installed as an epoch — the bound policy and each
+    /// [`OsdpSession::set_policy_epoch`] — which is the policy the
+    /// guarantee composed across transitions refers to (Theorem 3.3; see
+    /// [`OsdpSession::composed_guarantee`]). Policies are code, not data,
+    /// so a recovered session starts from its builder-bound policy.
+    /// All-sensitive (empty) for histogram-backed sessions, whose policies
+    /// exist only as sampled sub-histograms.
     pub fn lifecycle_minimum_relaxation(&self) -> MinimumRelaxation<R> {
         match &self.source {
             Source::Records { epoch, .. } => epoch.history.lock().registry.minimum_relaxation(),
             Source::Bound { .. } => MinimumRelaxation::new(Vec::new()),
-        }
-    }
-
-    fn remember_policy(&self, label: &str, policy: Arc<dyn Policy<R>>) {
-        let mut policies = self.policies.write();
-        // Dedup by policy *identity*: two distinct policies registered under
-        // one label must both enter the composed minimum relaxation
-        // (dropping either would over-claim protection).
-        if !policies.iter().any(|(_, p)| Arc::ptr_eq(p, &policy)) {
-            policies.push((label.to_string(), policy));
         }
     }
 }
@@ -1570,7 +1408,7 @@ impl<R: Clone> OsdpSession<R> {
     /// `OsdpRR` (Algorithm 1) — the record-level front door. Debits ε and
     /// audits like every other release. Record-backed sessions only.
     pub fn release_records(&self, mechanism: &OsdpRr) -> Result<Database<R>> {
-        let Source::Records { backend, epoch } = &self.source else {
+        let Source::Records { backend, .. } = &self.source else {
             return Err(OsdpError::InvalidInput(
                 "release_records needs a record-backed session".into(),
             ));
@@ -1582,43 +1420,17 @@ impl<R: Clone> OsdpSession<R> {
                     .into(),
             ));
         };
-        let e = epoch.current();
-        let (mut policy, policy_label, captured_version) =
-            (Arc::clone(&e.policy), Arc::clone(&e.label), e.version);
-        let guarantee = Guarantee::Osdp { eps: mechanism.epsilon() };
-        let mechanism_label = self.labels.get("OsdpRR (records)");
-        let query_label = self.labels.get("record-sample");
-        self.accountant
-            .spend("OsdpRR (records)", &*policy_label, guarantee.epsilon(), guarantee.kind())
-            .map_err(|e| self.wal_refused("OsdpRR (records)", guarantee.epsilon(), e))?;
-        let (index, version, label, stamped) = self.stamp_release(
-            captured_version,
-            true,
-            policy_label,
-            mechanism_label,
-            &query_label,
-            0,
-            1,
-            guarantee,
-        );
-        if let Some(state) = stamped {
-            // A transition raced in: the sample must be drawn under the
-            // stamped epoch's policy, matching the record's stamp.
-            policy = Arc::clone(&state.policy);
-        }
-        self.wal_grant(GrantEvent {
-            index,
+        let debit = Debit {
             mechanism: "OsdpRR (records)",
-            policy: &label,
-            query: "record-sample",
-            bins: 0,
+            guarantee: Guarantee::Osdp { eps: mechanism.epsilon() },
             trials: 1,
-            guarantee,
-            policy_version: version,
-        })?;
-        let mut rng = self.seeds.rng_for("release-records/OsdpRR", index);
-        let sample = mechanism.release(db, policy.as_ref(), &mut rng);
-        Ok(sample)
+        };
+        let granted = self.grant_one(Serve::Records, "record-sample", debit)?;
+        let Served::Policy(policy) = &granted.served else {
+            unreachable!("record grants serve a policy");
+        };
+        let mut rng = self.seeds.rng_for("release-records/OsdpRR", granted.index);
+        Ok(mechanism.release(db, policy.as_ref(), &mut rng))
     }
 
     /// Number of records in a record-backed session's backend.
@@ -1866,15 +1678,17 @@ mod tests {
 
     #[test]
     fn composed_guarantee_tracks_policies_and_minimum_relaxation() {
+        use osdp_core::policy::EpochDirection;
         let session = records_session(None);
         let l1 = OsdpLaplaceL1::new(0.5).unwrap();
         let dp = DpLaplaceHistogram::new(0.25).unwrap();
         session.release(&mod8_query(), &l1).unwrap();
-        // A second release under a relaxed policy: only values >= 80 stay
+        // A second release under a relaxed epoch: only values >= 80 stay
         // sensitive.
         let relaxed: Arc<dyn Policy<u32>> =
             Arc::new(ClosurePolicy::new("upper-fifth", |&v: &u32| v >= 80));
-        session.release_with_policy(&mod8_query(), &dp, Arc::clone(&relaxed), "P80").unwrap();
+        session.set_policy_epoch(relaxed, "P80", EpochDirection::Relax).unwrap();
+        session.release(&mod8_query(), &dp).unwrap();
 
         let (eps, policies) = session.composed_guarantee();
         assert!((eps - 0.75).abs() < 1e-12);
@@ -1882,7 +1696,7 @@ mod tests {
 
         // The composed (minimum-relaxation) policy classifies a record as
         // sensitive only when *every* component does (Definition 3.6).
-        let composed = session.composed_policy();
+        let composed = session.lifecycle_minimum_relaxation();
         assert_eq!(composed.len(), 2);
         assert!(composed.is_non_sensitive(&60), "non-sensitive under P80");
         assert!(composed.is_sensitive(&90), "sensitive under both");

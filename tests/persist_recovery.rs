@@ -128,6 +128,35 @@ fn durable_sessions_resume_exactly_after_clean_shutdown() {
 }
 
 #[test]
+fn recovered_sessions_report_their_composed_guarantee_from_the_audit_ledger() {
+    // Theorem 3.3's guarantee covers every release the tenant ever made, so
+    // a reopened session must report the pre-crash releases and the policy
+    // they were made under — not an empty composition.
+    let root = temp_root("composed");
+    let dir = root.join("tenant");
+    let m = OsdpLaplaceL1::new(0.25).unwrap();
+    let first = builder(2.0, 7)
+        .durable(SessionPersistence::open(&dir, SyncPolicy::Always).unwrap())
+        .build()
+        .unwrap();
+    for _ in 0..2 {
+        first.release(&SessionQuery::bound(), &m).unwrap();
+    }
+    drop(first);
+
+    let reopened = builder(2.0, 7)
+        .durable(SessionPersistence::open(&dir, SyncPolicy::Always).unwrap())
+        .build()
+        .unwrap();
+    assert_eq!(reopened.composed_guarantee(), (0.5, vec!["P-durable".to_string()]));
+    let ledger = reopened.audit_ledger();
+    assert_eq!(ledger.len(), 2);
+    assert!(ledger.iter().all(|e| e.guarantee == PrivacyGuarantee::OneSided));
+    assert!(!verify_ledger(&ledger, Some(2.0)).is_pure_dp, "OSDP grants are not pure DP");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn plain_and_durable_sessions_are_bitwise_identical() {
     let root = temp_root("parity");
     let plain = builder(2.0, 41).build().unwrap();
