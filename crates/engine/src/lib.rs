@@ -36,8 +36,9 @@
 //!   query, guarantee — which is the session's only ledger: its ledger view
 //!   is consumable by `osdp_attack::verify_ledger`;
 //! * a **zero-allocation batch plane**: [`OsdpSession::release_trials`]
-//!   runs one trial per core via rayon, writing into a preallocated output
-//!   arena through the buffer-reuse
+//!   fans its trials out over the process-wide rayon pool (persistent
+//!   helper threads joined by the calling thread), writing into a
+//!   preallocated output arena through the buffer-reuse
 //!   [`HistogramMechanism::release_into`](osdp_mechanisms::HistogramMechanism::release_into)
 //!   path (block noise kernels, per-thread mechanism scratch), with
 //!   per-trial RNG streams derived deterministically from the session seed —
@@ -102,10 +103,11 @@
 //! Pool runners (the regret analysis of Section 6.3.3.2) release the same
 //! query through every mechanism of a pool. [`OsdpSession::release_pool`]
 //! batches the whole pool: **one** backend scan (served by the task cache),
-//! **one** atomic grant debiting every mechanism all-or-nothing, and one rayon fan-out over every `(mechanism, trial)`
-//! pair. Accounting and estimates are identical — bitwise, for the
-//! estimates — to calling [`OsdpSession::release_trials`] once per mechanism
-//! in pool order:
+//! **one** atomic grant debiting every mechanism all-or-nothing, and one
+//! fan-out over every `(mechanism, trial)` pair on the process-wide rayon
+//! pool, which starts no thread per batch. Accounting and estimates are
+//! identical — bitwise, for the estimates — to calling
+//! [`OsdpSession::release_trials`] once per mechanism in pool order:
 //!
 //! ```
 //! use osdp_core::Histogram;

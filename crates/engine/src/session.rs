@@ -1104,8 +1104,10 @@ impl<R> OsdpSession<R> {
         Ok(self.sample_release(granted, mechanism))
     }
 
-    /// Releases `trials` independent estimates of the same query, one trial
-    /// per core (rayon). The batch costs `trials × ε` under sequential
+    /// Releases `trials` independent estimates of the same query, fanned out
+    /// over the process-wide rayon pool: its parked helper threads and the
+    /// calling thread claim trials from one queue, and no thread is started
+    /// per batch. The batch costs `trials × ε` under sequential
     /// composition (Theorem 3.3) and is debited **up front**: either the
     /// whole batch is granted or none of it is.
     ///
@@ -1180,8 +1182,9 @@ impl<R> OsdpSession<R> {
     /// * **one atomic grant** — a single CAS on the accountant debits every
     ///   mechanism, all-or-nothing: if the remaining budget cannot cover the
     ///   entire pool batch, nothing is spent, logged or sampled;
-    /// * one rayon fan-out over all `(mechanism, trial)` pairs, writing into
-    ///   a preallocated arena.
+    /// * one fan-out over all `(mechanism, trial)` pairs on the process-wide
+    ///   rayon pool (as in [`OsdpSession::release_trials`]), writing into a
+    ///   preallocated arena.
     ///
     /// Accounting, audit records and estimates are identical (bitwise, for
     /// the estimates) to calling [`OsdpSession::release_trials`] once per

@@ -6,8 +6,11 @@
 //! deliberately stays minimal (`task`, `rng`, `out`), so that memory is
 //! carried in a thread-local [`ReleaseScratch`] pool instead of being
 //! threaded through every caller: each OS thread pays for the buffers once
-//! and every release it runs afterwards — the engine's rayon trial batches
-//! run many releases per worker thread — reuses them.
+//! and every release it runs afterwards reuses them. The engine's trial and
+//! pool batches run on the rayon pool's persistent helper threads and on the
+//! calling thread, so the buffers are paid once per pool worker for the life
+//! of the process, not once per batch, and carry over between batches and
+//! sessions.
 //!
 //! [`HistogramMechanism::release_into`]: crate::HistogramMechanism::release_into
 

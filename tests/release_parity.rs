@@ -184,3 +184,54 @@ fn release_pool_matches_sequential_trials_on_histogram_sessions() {
     assert_eq!(batched.audit_ledger(), sequential.audit_ledger());
     assert_eq!(batched.audit_records(), sequential.audit_records());
 }
+
+/// A histogram pair of `bins` bins with empty bins, fully sensitive bins
+/// and partly sensitive bins, deterministic in `bins`.
+fn skewed_pair(bins: usize) -> (Histogram, Histogram) {
+    let full: Vec<f64> =
+        (0..bins).map(|i| if i % 13 == 0 { 0.0 } else { ((i * 7919) % 997) as f64 }).collect();
+    let ns: Vec<f64> = full
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| if i % 5 == 0 { 0.0 } else { (c * 0.8).floor() })
+        .collect();
+    (Histogram::from_counts(full), Histogram::from_counts(ns))
+}
+
+/// The pool's helper threads keep their per-thread release scratch (DAWA
+/// arenas, recipe flags) from one batch and session to the next. A large
+/// batch, a small one and the large one again must each still reproduce the
+/// scalar oracle bitwise, so no buffer left behind by an earlier release can
+/// leak into a later one.
+#[test]
+fn release_pool_matches_the_serial_oracle_across_reused_scratch() {
+    let mechanisms = full_pool(0.5);
+    let pool: Vec<&dyn HistogramMechanism> = mechanisms.iter().map(|m| m.as_ref()).collect();
+    let session = |bins: usize, seed: u64| {
+        let (full, ns) = skewed_pair(bins);
+        histogram_session(full, ns).seed(seed).build().expect("valid pair")
+    };
+    let (large, large_twin) = (session(4096, 21), session(4096, 21));
+    let (small, small_twin) = (session(64, 22), session(64, 22));
+
+    for (batched, twin) in [(&large, &large_twin), (&small, &small_twin), (&large, &large_twin)] {
+        let releases = batched.release_pool(&SessionQuery::bound(), &pool, 2).expect("uncapped");
+        for (mechanism, release) in pool.iter().zip(&releases) {
+            let expected = twin
+                .release_trials_serial(&SessionQuery::bound(), *mechanism, 2)
+                .expect("uncapped");
+            assert_eq!(release.estimates.len(), expected.len());
+            for (trial, (got, want)) in release.estimates.iter().zip(&expected).enumerate() {
+                let bits =
+                    |h: &Histogram| h.counts().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(got),
+                    bits(want),
+                    "{} trial {trial} drifted from the serial oracle at {} bins",
+                    release.mechanism,
+                    got.len()
+                );
+            }
+        }
+    }
+}
