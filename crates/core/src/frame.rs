@@ -19,12 +19,15 @@
 //!   of `classify(&record)` per record, one pass over a single column
 //!   produces the whole [`PolicyMask`].
 //! * [`BinSpec`] — the compiled form of a `GROUP BY` bin assignment: instead
-//!   of a boxed `Fn(&Record) -> Option<usize>` per record, one pass over a
-//!   single column produces every bin index.
+//!   of a boxed `Fn(&Record) -> Option<usize>` per record,
+//!   [`BinSpec::count_pair`] bins every row of the grouped column and counts
+//!   it into the `(x, x_ns)` histogram pair in one fused pass, reading the
+//!   [`PolicyMask`] 64 rows per word. Integer bins need no division when
+//!   `bins·width ≤ 2³²`.
 //!
-//! Backends (in `osdp-engine`) combine the two compiled forms into a full
-//! vectorized scan and cache the [`PolicyMask`] per policy, so repeated
-//! releases under the same policy perform **zero** policy evaluations.
+//! Backends (in `osdp-engine`) cache the [`PolicyMask`] per policy and run
+//! the fused scan against it, so repeated releases under the same policy
+//! perform **zero** policy evaluations.
 //!
 //! The compiled forms are *exact* mirrors of their row-at-a-time reference
 //! semantics: for any database, evaluating a compiled policy or bin spec over
@@ -47,9 +50,9 @@ pub const PAIR_BIN_FIELD: &str = "bin";
 /// [`ColumnarFrame::from_histogram_pair`].
 pub const PAIR_FLAG_FIELD: &str = "non_sensitive";
 
-/// Sentinel bin index returned by [`BinSpec::assign`] for rows that fall
-/// outside the query's domain (missing field, wrong type, negative or
-/// out-of-range value).
+/// The columnar bin limit: a [`BinSpec::count_pair`] bin count and a
+/// [`ColumnarFrame::from_histogram_pair`] domain must stay below it, so
+/// every bin fits a categorical code and this largest code never names one.
 pub const DROPPED_BIN: u32 = u32::MAX;
 
 // ---------------------------------------------------------------------------
@@ -82,13 +85,25 @@ impl PolicyMask {
 
     /// Builds a mask by evaluating `bit_of` on every row index.
     pub fn from_fn(len: usize, mut bit_of: impl FnMut(usize) -> bool) -> Self {
-        let mut mask = Self::zeros(len);
-        for i in 0..len {
-            if bit_of(i) {
-                mask.set(i, true);
+        let mut words = vec![0u64; len.div_ceil(64)];
+        for (w, word) in words.iter_mut().enumerate() {
+            let start = 64 * w;
+            for i in start..len.min(start + 64) {
+                *word |= u64::from(bit_of(i)) << (i - start);
             }
         }
-        mask
+        Self { words, len }
+    }
+
+    /// Builds a mask over the rows of one column, 64 rows per word.
+    fn from_column<T>(values: &[T], bit_of: impl Fn(&T) -> bool) -> Self {
+        let words = values
+            .chunks(64)
+            .map(|rows| {
+                rows.iter().enumerate().fold(0u64, |word, (j, v)| word | u64::from(bit_of(v)) << j)
+            })
+            .collect();
+        Self { words, len: values.len() }
     }
 
     /// Number of rows covered by the mask.
@@ -682,51 +697,38 @@ impl CompiledPolicy {
                 PolicyMask::ones(len)
             };
         };
-        let mut mask = PolicyMask::zeros(len);
-        match (self, column.values()) {
-            // Branch-free comparisons over the typed fast paths.
+        let mut mask = match (self, column.values()) {
+            // Branch-free comparisons over the typed fast paths, packed 64
+            // rows per mask word.
             (CompiledPolicy::IntAtMost { threshold, .. }, Column::Int(values)) => {
-                for (i, &v) in values.iter().enumerate() {
-                    mask.set(i, v > *threshold);
-                }
+                PolicyMask::from_column(values, |&v| v > *threshold)
             }
             (CompiledPolicy::OptIn { .. }, Column::Bool(values)) => {
-                for (i, &v) in values.iter().enumerate() {
-                    mask.set(i, v);
-                }
+                PolicyMask::from_column(values, |&v| v)
             }
             (CompiledPolicy::MaskIntersects { sensitive_bits, .. }, Column::Mask64(values)) => {
-                for (i, &v) in values.iter().enumerate() {
-                    mask.set(i, v & sensitive_bits == 0);
-                }
+                PolicyMask::from_column(values, |&v| v & sensitive_bits == 0)
             }
             (CompiledPolicy::MaskIntersects { sensitive_bits, .. }, Column::Int(values)) => {
-                for (i, &v) in values.iter().enumerate() {
-                    mask.set(i, (v as u64) & sensitive_bits == 0);
-                }
+                PolicyMask::from_column(values, |&v| (v as u64) & sensitive_bits == 0)
             }
             // Exact-value storage: apply the reference predicate directly.
             (_, Column::Values(values)) => {
-                for (i, v) in values.iter().enumerate() {
-                    mask.set(i, !self.value_is_sensitive(v));
-                }
+                PolicyMask::from_column(values, |v| !self.value_is_sensitive(v))
             }
             // A typed column the predicate does not special-case: rebuild the
             // value on the stack and apply the reference predicate. Exact, at
             // one indirect call per present row.
-            (_, column) => {
-                for i in 0..len {
-                    mask.set(i, !self.value_is_sensitive(&column.value(i)));
-                }
-            }
-        }
-        // Missing rows follow the policy's fail-open/closed choice.
+            (_, column) => PolicyMask::from_fn(len, |i| !self.value_is_sensitive(&column.value(i))),
+        };
+        // Missing rows follow the policy's fail-open/closed choice, one word
+        // at a time.
         if let Some(present) = &column.present {
-            for i in 0..len {
-                if !present.get(i) {
-                    mask.set(i, !missing_is_sensitive);
-                }
+            let missing = if missing_is_sensitive { 0 } else { u64::MAX };
+            for (word, &present) in mask.words.iter_mut().zip(present.words()) {
+                *word = (*word & present) | (missing & !present);
             }
+            mask.clear_tail();
         }
         mask
     }
@@ -755,8 +757,8 @@ impl CompiledPolicy {
 /// The compiled form of a histogram bin assignment (`GROUP BY`).
 ///
 /// [`BinSpec::bin_of_record`] is the row-at-a-time reference semantics;
-/// [`BinSpec::assign`] is the vectorized evaluation over a frame. The two
-/// agree exactly, including which rows are dropped.
+/// [`BinSpec::count_pair`] is the fused, vectorized scan over a frame. The
+/// two agree exactly, including which rows are dropped.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum BinSpec {
     /// The bin is the categorical code of `field` (non-categorical or missing
@@ -812,74 +814,222 @@ impl BinSpec {
         }
     }
 
-    /// Vectorized evaluation: one bin index per row, with [`DROPPED_BIN`]
-    /// marking dropped or out-of-range rows. `bins` is the query's domain
-    /// size and must stay below [`DROPPED_BIN`].
-    pub fn assign(&self, frame: &ColumnarFrame, bins: usize) -> Result<Vec<u32>> {
+    /// The fused columnar scan: bins every row of `frame` and counts it into
+    /// the full histogram `x` and, when its bit in `non_sensitive` is set,
+    /// into the non-sensitive histogram `x_ns`, in one pass over the grouped
+    /// column. Returns `(x, x_ns, dropped)`, where `dropped` is the total
+    /// weight of rows [`BinSpec::bin_of_value`] drops or bins at or above
+    /// `bins`.
+    ///
+    /// The result is bitwise identical to incrementing `f64` histograms row
+    /// by row, in row order. `bins` must stay below [`DROPPED_BIN`] and
+    /// `non_sensitive` must cover the frame's rows.
+    pub fn count_pair(
+        &self,
+        frame: &ColumnarFrame,
+        non_sensitive: &PolicyMask,
+        bins: usize,
+    ) -> Result<(Histogram, Histogram, f64)> {
         if bins >= DROPPED_BIN as usize {
             return Err(OsdpError::InvalidInput(format!(
                 "bin count {bins} exceeds the columnar bin limit"
             )));
         }
-        let len = frame.len();
-        let mut assignment = vec![DROPPED_BIN; len];
+        if non_sensitive.len() != frame.len() {
+            return Err(OsdpError::DimensionMismatch {
+                expected: frame.len(),
+                actual: non_sensitive.len(),
+            });
+        }
+        let counter = PairCounter { non_sensitive, weights: frame.weights(), bins };
         let Some(column) = frame.column(self.field()) else {
-            return Ok(assignment);
+            return Ok(counter.all_dropped(frame.len()));
         };
-        match (self, column.values()) {
-            (BinSpec::Categorical { .. }, Column::Categorical(values)) => {
-                for (slot, &code) in assignment.iter_mut().zip(values) {
-                    if (code as usize) < bins {
-                        *slot = code;
-                    }
-                }
+        let present = column.present.as_ref();
+        let linear = match self {
+            BinSpec::IntLinear { origin, width, .. } => IntLinearBins::new(*origin, *width, bins),
+            BinSpec::Categorical { .. } => None,
+        };
+        Ok(match (self, column.values(), linear) {
+            (BinSpec::Categorical { .. }, Column::Categorical(values), _) => {
+                counter.count(values, present, |&code| (code as usize).min(bins))
             }
-            (BinSpec::IntLinear { origin, width, .. }, Column::Int(values)) if *width >= 1 => {
-                for (slot, &v) in assignment.iter_mut().zip(values) {
-                    if let Some(offset) = v.checked_sub(*origin) {
-                        if offset >= 0 {
-                            let bin = (offset / width) as usize;
-                            if bin < bins {
-                                *slot = bin as u32;
-                            }
-                        }
-                    }
-                }
-            }
-            (_, Column::Values(values)) => {
-                for (slot, v) in assignment.iter_mut().zip(values) {
-                    if let Some(bin) = self.bin_of_value(v) {
-                        if bin < bins {
-                            *slot = bin as u32;
-                        }
-                    }
-                }
+            (_, Column::Int(values), Some(linear)) => {
+                linear.count(&counter, values, present, |&v| v)
             }
             // Mask64 columns surface as Int values, so an int-linear spec
             // bins their raw bit patterns.
-            (BinSpec::IntLinear { origin, width, .. }, Column::Mask64(values)) if *width >= 1 => {
-                for (slot, &v) in assignment.iter_mut().zip(values) {
-                    if let Some(offset) = (v as i64).checked_sub(*origin) {
-                        if offset >= 0 {
-                            let bin = (offset / width) as usize;
-                            if bin < bins {
-                                *slot = bin as u32;
-                            }
-                        }
+            (_, Column::Mask64(values), Some(linear)) => {
+                linear.count(&counter, values, present, |&v| v as i64)
+            }
+            (_, Column::Values(values), _) => counter
+                .count(values, present, |v| self.bin_of_value(v).map_or(bins, |b| b.min(bins))),
+            _ => counter.all_dropped(frame.len()),
+        })
+    }
+}
+
+/// How a fixed bin width divides an offset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Divisor {
+    /// Width 1: the offset is the bin. (Its reciprocal, 2⁶⁴, has no `u64`
+    /// form.)
+    One,
+    /// `(M·offset) >> 64` with `M = ⌊(2⁶⁴−1)/width⌋ + 1`: exact for every
+    /// offset below 2³² when `width ≤ 2³²` (Lemire, Kaser & Kurz, *Faster
+    /// Remainder by Direct Computation*, 2019, Theorem 1).
+    Reciprocal(u64),
+    /// Plain division, for spans the reciprocal does not cover.
+    Plain(u64),
+}
+
+/// An [`BinSpec::IntLinear`] spec compiled for one scan: a range check on
+/// the offset plus a division-free bin whenever `bins·width ≤ 2³²`.
+#[derive(Debug, Clone, Copy)]
+struct IntLinearBins {
+    origin: i64,
+    /// Wrapping offsets `value − origin` in `[0, limit)` bin, where `limit =
+    /// min(bins·width, 2⁶³, 2⁶³ − origin)`. The first bound is the domain.
+    /// The second keeps the offsets that do not overflow `i64`, the only
+    /// ones [`BinSpec::bin_of_value`] bins. The third drops every value
+    /// below `origin`: its offset wraps to at least `2⁶³ − origin`.
+    limit: u64,
+    divisor: Divisor,
+}
+
+impl IntLinearBins {
+    /// The compiled spec, or `None` when `width < 1` drops every row.
+    fn new(origin: i64, width: i64, bins: usize) -> Option<Self> {
+        let width = u64::try_from(width).ok().filter(|&w| w >= 1)?;
+        let span = u128::from(width) * bins as u128;
+        let divisor = if width == 1 {
+            Divisor::One
+        } else if span <= 1 << 32 {
+            Divisor::Reciprocal(u64::MAX / width + 1)
+        } else {
+            Divisor::Plain(width)
+        };
+        let room = ((1i128 << 63) - i128::from(origin)) as u128;
+        Some(Self { origin, limit: span.min(1 << 63).min(room) as u64, divisor })
+    }
+
+    /// The bin of `value`, or `dropped`. `divisor` is `self.divisor`, passed
+    /// as a value the caller has matched, so each scan loop is compiled for
+    /// one division strategy.
+    #[inline(always)]
+    fn bin(self, value: i64, divisor: Divisor, dropped: usize) -> usize {
+        let offset = value.wrapping_sub(self.origin) as u64;
+        let bin = match divisor {
+            Divisor::One => offset,
+            Divisor::Reciprocal(m) => ((u128::from(m) * u128::from(offset)) >> 64) as u64,
+            Divisor::Plain(width) => offset / width,
+        };
+        if offset < self.limit {
+            bin as usize
+        } else {
+            dropped
+        }
+    }
+
+    /// [`PairCounter::count`] over a column whose values `int` reads as
+    /// the `i64` this spec bins.
+    fn count<T>(
+        self,
+        counter: &PairCounter<'_>,
+        values: &[T],
+        present: Option<&PolicyMask>,
+        int: impl Fn(&T) -> i64,
+    ) -> (Histogram, Histogram, f64) {
+        let dropped = counter.bins;
+        match self.divisor {
+            Divisor::One => {
+                counter.count(values, present, |v| self.bin(int(v), Divisor::One, dropped))
+            }
+            Divisor::Reciprocal(m) => counter
+                .count(values, present, |v| self.bin(int(v), Divisor::Reciprocal(m), dropped)),
+            Divisor::Plain(w) => {
+                counter.count(values, present, |v| self.bin(int(v), Divisor::Plain(w), dropped))
+            }
+        }
+    }
+}
+
+/// The counting half of [`BinSpec::count_pair`]: everything but the bin of
+/// a row.
+struct PairCounter<'a> {
+    non_sensitive: &'a PolicyMask,
+    weights: Option<&'a [f64]>,
+    bins: usize,
+}
+
+impl PairCounter<'_> {
+    /// One pass over `values`. `bin_of` returns a bin below `bins`, or
+    /// `bins` for a dropped row: slot `bins` collects the dropped mass, so
+    /// the row loop has no branch. Mask bits are read a word (64 rows) at a
+    /// time.
+    fn count<T>(
+        &self,
+        values: &[T],
+        present: Option<&PolicyMask>,
+        bin_of: impl Fn(&T) -> usize,
+    ) -> (Histogram, Histogram, f64) {
+        let bins = self.bins;
+        let ns_words = self.non_sensitive.words();
+        let present_words = present.map(PolicyMask::words);
+        let words = |block: usize| (ns_words[block], present_words.map_or(u64::MAX, |p| p[block]));
+        let (mut full, mut non_sensitive): (Vec<f64>, Vec<f64>) = match self.weights {
+            None => {
+                // counts[2·bin + non-sensitive bit]. Sums of 1.0 are exact
+                // integers, so counting in u64 and converting once per bin
+                // equals f64 accumulation bit for bit.
+                let mut counts = vec![0u64; 2 * (bins + 1)];
+                for (block, rows) in values.chunks(64).enumerate() {
+                    let (mut ns, mut present) = words(block);
+                    for v in rows {
+                        let bin = bin_of(v);
+                        let bin = if present & 1 == 1 { bin } else { bins };
+                        counts[2 * bin + (ns & 1) as usize] += 1;
+                        ns >>= 1;
+                        present >>= 1;
                     }
                 }
+                counts.chunks_exact(2).map(|c| ((c[0] + c[1]) as f64, c[1] as f64)).unzip()
             }
-            _ => {}
-        }
-        // Rows missing the field drop (bin_of_record returns None for them).
-        if let Some(present) = &column.present {
-            for (i, slot) in assignment.iter_mut().enumerate() {
-                if !present.get(i) {
-                    *slot = DROPPED_BIN;
+            Some(weights) => {
+                // f64 accumulation in row order, as the reference does.
+                let mut full = vec![0.0; bins + 1];
+                let mut non_sensitive = vec![0.0; bins + 1];
+                for (block, (rows, weights)) in
+                    values.chunks(64).zip(weights.chunks(64)).enumerate()
+                {
+                    let (mut ns, mut present) = words(block);
+                    for (v, &w) in rows.iter().zip(weights) {
+                        let bin = bin_of(v);
+                        let bin = if present & 1 == 1 { bin } else { bins };
+                        full[bin] += w;
+                        // Sums of non-negative weights are never −0.0, and
+                        // adding +0.0 leaves any other sum bit-identical.
+                        non_sensitive[bin] += if ns & 1 == 1 { w } else { 0.0 };
+                        ns >>= 1;
+                        present >>= 1;
+                    }
                 }
+                (full, non_sensitive)
             }
-        }
-        Ok(assignment)
+        };
+        let dropped = full.pop().expect("slot `bins` holds the dropped mass");
+        non_sensitive.pop();
+        (Histogram::from_counts(full), Histogram::from_counts(non_sensitive), dropped)
+    }
+
+    /// The result when no row can bin (no such column, a type the spec
+    /// cannot bin, or a width below 1).
+    fn all_dropped(&self, len: usize) -> (Histogram, Histogram, f64) {
+        let dropped = match self.weights {
+            None => len as f64,
+            Some(weights) => weights.iter().fold(0.0, |sum, &w| sum + w),
+        };
+        (Histogram::zeros(self.bins), Histogram::zeros(self.bins), dropped)
     }
 }
 
@@ -1129,13 +1279,29 @@ mod tests {
         assert_eq!(p2.evaluate(&int_frame).count_set(), 0);
     }
 
+    /// `count_pair` as plain vectors.
+    fn counted(
+        spec: &BinSpec,
+        frame: &ColumnarFrame,
+        mask: &PolicyMask,
+        bins: usize,
+    ) -> (Vec<f64>, Vec<f64>, f64) {
+        let (full, non_sensitive, dropped) = spec.count_pair(frame, mask, bins).unwrap();
+        (full.into_counts(), non_sensitive.into_counts(), dropped)
+    }
+
     #[test]
-    fn bin_spec_categorical_assignment() {
+    fn bin_spec_categorical_counts() {
         let frame = ColumnarFrame::from_database(&mixed_db());
         let spec = BinSpec::Categorical { field: "zone".into() };
         assert_eq!(spec.field(), "zone");
-        // zones 3, 1, 9 with 4 bins: 9 is out of range.
-        assert_eq!(spec.assign(&frame, 4).unwrap(), vec![3, 1, DROPPED_BIN]);
+        // zones 3, 1, 9 with 4 bins: 9 is out of range; only row 0 is
+        // non-sensitive.
+        let mask = PolicyMask::from_fn(3, |i| i == 0);
+        assert_eq!(
+            counted(&spec, &frame, &mask, 4),
+            (vec![0.0, 1.0, 0.0, 1.0], vec![0.0, 0.0, 0.0, 1.0], 1.0)
+        );
         let r = Record::builder().field("zone", 2u32).build();
         assert_eq!(spec.bin_of_record(&r), Some(2));
         let wrong_type = Record::builder().field("zone", 2i64).build();
@@ -1143,37 +1309,129 @@ mod tests {
     }
 
     #[test]
-    fn bin_spec_int_linear_assignment() {
+    fn bin_spec_int_linear_counts() {
         let frame = ColumnarFrame::from_database(&mixed_db());
+        let all = PolicyMask::ones(3);
         let spec = BinSpec::IntLinear { field: "age".into(), origin: 10, width: 10 };
         // ages 10, 40, 17 with 3 bins -> 0, dropped (bin 3), 0.
-        assert_eq!(spec.assign(&frame, 3).unwrap(), vec![0, DROPPED_BIN, 0]);
+        assert_eq!(
+            counted(&spec, &frame, &all, 3),
+            (vec![2.0, 0.0, 0.0], vec![2.0, 0.0, 0.0], 1.0)
+        );
         // below origin drops.
         let r = Record::builder().field("age", 9i64).build();
         assert_eq!(spec.bin_of_record(&r), None);
         assert_eq!(spec.bin_of_record(&Record::builder().field("age", 25i64).build()), Some(1));
         // degenerate width drops everything, on both paths.
         let bad = BinSpec::IntLinear { field: "age".into(), origin: 0, width: 0 };
-        assert_eq!(bad.assign(&frame, 3).unwrap(), vec![DROPPED_BIN; 3]);
+        assert_eq!(counted(&bad, &frame, &all, 3), (vec![0.0; 3], vec![0.0; 3], 3.0));
         assert_eq!(bad.bin_of_record(&Record::builder().field("age", 25i64).build()), None);
     }
 
     #[test]
     fn bin_spec_missing_column_and_rows_drop() {
         let frame = ColumnarFrame::from_database(&mixed_db());
+        let all = PolicyMask::ones(3);
         let spec = BinSpec::Categorical { field: "nope".into() };
-        assert_eq!(spec.assign(&frame, 4).unwrap(), vec![DROPPED_BIN; 3]);
-        // The opt column is missing in row 1: an opt-grouping spec drops it.
+        assert_eq!(counted(&spec, &frame, &all, 4), (vec![0.0; 4], vec![0.0; 4], 3.0));
+        // The opt column is missing in row 1, and bool values cannot int-bin.
         let by_opt = BinSpec::IntLinear { field: "opt".into(), origin: 0, width: 1 };
-        let assignment = by_opt.assign(&frame, 4).unwrap();
-        assert_eq!(assignment, vec![DROPPED_BIN; 3], "bool values cannot int-bin");
+        assert_eq!(counted(&by_opt, &frame, &all, 4), (vec![0.0; 4], vec![0.0; 4], 3.0));
+        // A present row bins, an absent one drops whatever its slot holds.
+        let frame = ColumnarFrame::builder(2)
+            .column_with_presence("x", Column::Int(vec![1, 1]), PolicyMask::from_fn(2, |i| i == 0))
+            .weights(vec![0.5, 0.25])
+            .build()
+            .unwrap();
+        let by_x = BinSpec::IntLinear { field: "x".into(), origin: 0, width: 1 };
+        let mask = PolicyMask::ones(2);
+        assert_eq!(counted(&by_x, &frame, &mask, 2), (vec![0.0, 0.5], vec![0.0, 0.5], 0.25));
     }
 
     #[test]
-    fn bin_spec_rejects_oversized_domains() {
+    fn bin_spec_rejects_oversized_domains_and_foreign_masks() {
         let frame = ColumnarFrame::from_database(&mixed_db());
         let spec = BinSpec::Categorical { field: "zone".into() };
-        assert!(spec.assign(&frame, DROPPED_BIN as usize).is_err());
+        assert!(spec.count_pair(&frame, &PolicyMask::ones(3), DROPPED_BIN as usize).is_err());
+        assert!(spec.count_pair(&frame, &PolicyMask::ones(4), 4).is_err());
+    }
+
+    #[test]
+    fn division_free_bins_match_bin_of_value_on_a_boundary_grid() {
+        const TWO_32: i64 = 1 << 32;
+        let origins =
+            [i64::MIN, i64::MIN + 1, -TWO_32, -7, -1, 0, 1, 5, TWO_32, i64::MAX - 1, i64::MAX];
+        let widths = [
+            1,
+            2,
+            3,
+            7,
+            64,
+            641,
+            65_535,
+            65_537,
+            TWO_32 - 1,
+            TWO_32,
+            TWO_32 + 1,
+            (1 << 40) + 3,
+            i64::MAX,
+        ];
+        let bin_counts =
+            [0usize, 1, 2, 3, 64, 65_535, 65_537, (1 << 31) + 1, u32::MAX as usize - 1];
+        let mut seen = [false; 3];
+        for &bins in &bin_counts {
+            for &width in &widths {
+                for &origin in &origins {
+                    let spec = BinSpec::IntLinear { field: "v".into(), origin, width };
+                    let linear = IntLinearBins::new(origin, width, bins).unwrap();
+                    seen[match linear.divisor {
+                        Divisor::One => 0,
+                        Divisor::Reciprocal(_) => 1,
+                        Divisor::Plain(_) => 2,
+                    }] = true;
+                    // Bin edges: each side of the first, second, last and
+                    // one-past-last bins, plus the extremes of i64.
+                    let edges = [0, 1, bins.saturating_sub(1) as i128, bins as i128];
+                    let values = edges
+                        .iter()
+                        .flat_map(|&k| {
+                            let edge = i128::from(origin) + k * i128::from(width);
+                            [edge - 1, edge, edge + 1, edge + i128::from(width) - 1]
+                        })
+                        .filter_map(|v| i64::try_from(v).ok())
+                        .chain([i64::MIN, -1, 0, 1, i64::MAX]);
+                    for v in values {
+                        let expected =
+                            spec.bin_of_value(&Value::Int(v)).filter(|&b| b < bins).unwrap_or(bins);
+                        assert_eq!(
+                            linear.bin(v, linear.divisor, bins),
+                            expected,
+                            "value {v}, origin {origin}, width {width}, bins {bins}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(seen, [true; 3], "the grid runs every division strategy");
+    }
+
+    #[test]
+    fn reciprocal_division_is_exact_for_32_bit_offsets() {
+        // Theorem 1's premise: width ≤ 2³² and offset < 2³². Probe the
+        // largest offsets and every quotient edge near them.
+        for width in [2u64, 3, 5, 7, 10, 641, 6_700_417, (1 << 31) - 1, (1 << 32) - 1, 1 << 32] {
+            let m = match IntLinearBins::new(0, width as i64, 1).unwrap().divisor {
+                Divisor::Reciprocal(m) => m,
+                other => panic!("width {width} chose {other:?}"),
+            };
+            let top = (1u64 << 32) - 1;
+            let last = top / width * width;
+            for n in [0, 1, width - 1, width, width + 1, last.saturating_sub(1), last, top - 1, top]
+            {
+                let q = ((u128::from(m) * u128::from(n)) >> 64) as u64;
+                assert_eq!(q, n / width, "offset {n}, width {width}");
+            }
+        }
     }
 
     #[test]

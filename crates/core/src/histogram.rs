@@ -186,7 +186,13 @@ impl Histogram {
     /// histogram of any of its one-sided neighbors (Section 5.1).
     pub fn dominated_by(&self, other: &Histogram) -> Result<bool> {
         self.check_same_len(other)?;
-        Ok(self.counts.iter().zip(other.counts.iter()).all(|(a, b)| a <= b))
+        // Branch-free within each chunk, so the compares vectorize. `a <= b`
+        // is false when either side is NaN.
+        const LANES: usize = 16;
+        let holds = |a: &[f64], b: &[f64]| a.iter().zip(b).fold(true, |ok, (a, b)| ok & (a <= b));
+        let (a, a_tail) = self.counts.as_chunks::<LANES>();
+        let (b, b_tail) = other.counts.as_chunks::<LANES>();
+        Ok(a.iter().zip(b).all(|(a, b)| holds(a, b)) && holds(a_tail, b_tail))
     }
 
     /// Cumulative sums, used by range-query evaluation and DAWA partitioning.
@@ -359,6 +365,29 @@ mod tests {
         let big = Histogram::from_counts(vec![1.0, 3.0]);
         assert!(small.dominated_by(&big).unwrap());
         assert!(!big.dominated_by(&small).unwrap());
+    }
+
+    #[test]
+    fn domination_checks_every_bin_of_every_chunk() {
+        let empty = Histogram::zeros(0);
+        assert!(empty.dominated_by(&empty).unwrap());
+        assert!(empty.dominated_by(&Histogram::zeros(1)).is_err());
+        // 16-bin chunks plus a ragged tail: a violation anywhere is found.
+        for len in [1, 15, 16, 17, 35, 64] {
+            let base = Histogram::from_counts((0..len).map(|i| i as f64).collect());
+            assert!(base.dominated_by(&base).unwrap(), "len {len}");
+            for i in [0, len / 2, len - 1] {
+                let mut over = base.clone();
+                over.increment(i, 0.5);
+                assert!(!over.dominated_by(&base).unwrap(), "len {len}, bin {i}");
+                assert!(base.dominated_by(&over).unwrap(), "len {len}, bin {i}");
+                // NaN on either side breaks domination.
+                let mut nan = base.clone();
+                nan.set(i, f64::NAN);
+                assert!(!nan.dominated_by(&base).unwrap(), "len {len}, bin {i}");
+                assert!(!base.dominated_by(&nan).unwrap(), "len {len}, bin {i}");
+            }
+        }
     }
 
     #[test]

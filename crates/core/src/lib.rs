@@ -32,8 +32,9 @@
 //! * [`frame`] — the columnar data plane: [`ColumnarFrame`] snapshots of
 //!   record databases (typed columns, optional row weights), [`PolicyMask`]
 //!   bitmasks, and the compiled, vectorized forms of policies
-//!   ([`CompiledPolicy`]) and bin assignments ([`BinSpec`]) that the
-//!   `osdp-engine` backends evaluate in one pass per column instead of one
+//!   ([`CompiledPolicy`], one pass over a column per mask) and bin
+//!   assignments ([`BinSpec`], one fused pass that bins and counts the
+//!   histogram pair) that the `osdp-engine` backends run instead of one
 //!   virtual call per record.
 //!
 //! Mechanisms themselves live in the `osdp-mechanisms` crate; this crate is

@@ -14,14 +14,15 @@
 //! * [`RowBackend`] — the reference row-at-a-time path over any
 //!   [`Database<R>`]. It evaluates the boxed bin closure and (on first use
 //!   per policy) the virtual policy per record, and caches the resulting
-//!   sensitive/non-sensitive partition per `(policy label, policy identity)`
+//!   sensitive/non-sensitive partition per `(policy identity, epoch version)`
 //!   so repeated releases under one policy never re-classify.
 //! * [`ColumnarBackend`] — the vectorized path over a
 //!   [`ColumnarFrame`]: compiled policies
-//!   ([`osdp_core::frame::CompiledPolicy`]) and compiled
-//!   bin specs ([`osdp_core::BinSpec`]) evaluate column-at-a-time, the
-//!   [`PolicyMask`] partition is cached the same way, and weighted frames
-//!   let pre-aggregated histogram pairs ride the identical code path.
+//!   ([`osdp_core::frame::CompiledPolicy`]) evaluate column-at-a-time into a
+//!   [`PolicyMask`] partition, cached the same way, and a compiled bin spec
+//!   ([`osdp_core::BinSpec::count_pair`]) bins and counts every row in one
+//!   fused pass over the grouped column. Weighted frames let pre-aggregated
+//!   histogram pairs ride the identical code path.
 //!   Policies or queries without a compiled form fall back to the retained
 //!   rows (when constructed via [`ColumnarBackend::from_database`]), so the
 //!   backend never answers differently from [`RowBackend`] — only faster.
@@ -31,7 +32,7 @@
 //! (property-tested in `tests/backend_parity.rs`).
 
 use osdp_core::error::{OsdpError, Result};
-use osdp_core::frame::{BinSpec, ColumnarFrame, PolicyMask, DROPPED_BIN};
+use osdp_core::frame::{BinSpec, ColumnarFrame, PolicyMask};
 use osdp_core::policy::Policy;
 use osdp_core::{Database, Histogram, Record};
 use osdp_mechanisms::HistogramTask;
@@ -76,26 +77,11 @@ pub struct QueryPlan<R = Record> {
     pub bin_spec: Option<BinSpec>,
     /// The policy the scan classifies under.
     pub policy: Arc<dyn Policy<R>>,
-    /// Label of the policy (cache key component and audit-log field).
+    /// Label of the policy (audit-log field and error messages).
     pub policy_label: String,
     /// The policy epoch version the release was stamped with (cache key
     /// component; 0 for sessions that never transition).
     pub policy_version: u64,
-}
-
-impl<R> QueryPlan<R> {
-    /// The partition-cache key: the policy label, the policy's identity
-    /// (two different policies registered under one label must not share a
-    /// cached partition), and the epoch version (a transition that
-    /// re-installs a policy at a recycled allocation address must not reach
-    /// the pre-transition partition).
-    fn partition_key(&self) -> (String, usize, u64) {
-        (
-            self.policy_label.clone(),
-            Arc::as_ptr(&self.policy) as *const () as usize,
-            self.policy_version,
-        )
-    }
 }
 
 impl<R> std::fmt::Debug for QueryPlan<R> {
@@ -143,14 +129,25 @@ pub trait Backend<R = Record>: Send + Sync {
     fn invalidate_partitions(&self) {}
 }
 
-/// Shared partition cache: `(policy label, policy identity, epoch version) →
-/// non-sensitive mask`, so repeated releases under one policy skip
+/// Partition-cache key: the policy's identity (two different policies
+/// registered under one label must not share a cached partition; the label
+/// never reaches the classification) and the epoch version (a transition
+/// that re-installs a policy at a recycled allocation address must not
+/// reach the pre-transition partition).
+type PartitionKey = (usize, u64);
+
+/// A partition's derivation slot: `None` until the first successful
+/// classification fills it. Racing scans of one key serialize on the
+/// slot's own lock, so they classify once.
+type PartitionSlot = Arc<Mutex<Option<Arc<PolicyMask>>>>;
+
+/// Shared partition cache: policy identity and epoch version → the slot of
+/// its non-sensitive mask, so repeated releases under one policy skip
 /// re-classification. Each entry **retains the policy `Arc`** whose address
 /// keyed it: the allocation can never be reused while the entry lives, so an
 /// address collision always means the same policy object (no ABA through
 /// dropped policies).
-type PartitionMap<R> = HashMap<(String, usize, u64), (Arc<dyn Policy<R>>, Arc<PolicyMask>)>;
-type PartitionCache<R> = Mutex<PartitionMap<R>>;
+type PartitionCache<R> = Mutex<HashMap<PartitionKey, (Arc<dyn Policy<R>>, PartitionSlot)>>;
 
 /// Cap on cached partitions per backend. A session scans under one policy
 /// per epoch, and a transition invalidates the cache; a caller scanning a
@@ -159,34 +156,37 @@ type PartitionCache<R> = Mutex<PartitionMap<R>>;
 /// cleared (it is a pure cache: results are unaffected, only recomputed).
 const PARTITION_CACHE_CAP: usize = 64;
 
-/// Inserts an entry, clearing the cache first when it is full.
-fn insert_partition<R>(
-    cache: &mut PartitionMap<R>,
-    key: (String, usize, u64),
-    policy: &Arc<dyn Policy<R>>,
-    mask: &Arc<PolicyMask>,
-) {
-    if cache.len() >= PARTITION_CACHE_CAP {
-        cache.clear();
-    }
-    cache.insert(key, (Arc::clone(policy), Arc::clone(mask)));
-}
-
 /// Looks up the plan's partition in `cache`, computing it with `classify` on
-/// a miss.
+/// a miss. The map lock is held only to find or insert the key's slot; the
+/// classification runs under the slot's lock, so racing misses of one key
+/// classify exactly once while other keys proceed. A failed classification
+/// leaves the slot empty for the next caller to retry.
 fn cached_partition<R>(
     cache: &PartitionCache<R>,
     plan: &QueryPlan<R>,
-    classify: impl FnOnce() -> PolicyMask,
-) -> Arc<PolicyMask> {
-    let key = plan.partition_key();
-    if let Some((policy, mask)) = cache.lock().get(&key) {
+    classify: impl FnOnce() -> Result<PolicyMask>,
+) -> Result<Arc<PolicyMask>> {
+    let key = (Arc::as_ptr(&plan.policy) as *const () as usize, plan.policy_version);
+    let slot = {
+        let mut cache = cache.lock();
+        if cache.len() >= PARTITION_CACHE_CAP && !cache.contains_key(&key) {
+            // In-flight classifications keep their slot and finish
+            // unaffected; later callers recompute.
+            cache.clear();
+        }
+        let (policy, slot) = cache
+            .entry(key)
+            .or_insert_with(|| (Arc::clone(&plan.policy), PartitionSlot::default()));
         debug_assert!(Arc::ptr_eq(policy, &plan.policy), "pinned allocation cannot be reused");
-        return Arc::clone(mask);
+        Arc::clone(slot)
+    };
+    let mut slot = slot.lock();
+    if let Some(mask) = &*slot {
+        return Ok(Arc::clone(mask));
     }
-    let mask = Arc::new(classify());
-    insert_partition(&mut cache.lock(), key, &plan.policy, &mask);
-    mask
+    let mask = Arc::new(classify()?);
+    *slot = Some(Arc::clone(&mask));
+    Ok(mask)
 }
 
 /// The shared row-at-a-time scan loop: bins every record through the boxed
@@ -248,7 +248,7 @@ impl<R: Send + Sync> Backend<R> for RowBackend<R> {
 
     fn scan(&self, plan: &QueryPlan<R>) -> Result<HistogramPair> {
         let mask =
-            cached_partition(&self.partitions, plan, || self.db.policy_mask(plan.policy.as_ref()));
+            cached_partition(&self.partitions, plan, || Ok(self.db.policy_mask(&*plan.policy)))?;
         Ok(scan_rows(&self.db, &mask, plan))
     }
 
@@ -297,28 +297,20 @@ impl ColumnarBackend {
         &self.frame
     }
 
-    fn partition_for(&self, plan: &QueryPlan<Record>) -> Result<Arc<PolicyMask>> {
-        // Not `cached_partition`: the miss path is fallible (a frame-only
-        // backend refuses opaque policies), so the closure shape differs.
-        let key = plan.partition_key();
-        if let Some((policy, mask)) = self.partitions.lock().get(&key) {
-            debug_assert!(Arc::ptr_eq(policy, &plan.policy), "pinned allocation cannot be reused");
-            return Ok(Arc::clone(mask));
-        }
-        let mask = if let Some(compiled) = plan.policy.compiled() {
-            compiled.evaluate(&self.frame)
+    /// Classifies the frame under the plan's policy: compiled when the
+    /// policy has a vectorized form, from the retained rows otherwise.
+    fn classify(&self, plan: &QueryPlan<Record>) -> Result<PolicyMask> {
+        if let Some(compiled) = plan.policy.compiled() {
+            Ok(compiled.evaluate(&self.frame))
         } else if let Some(rows) = &self.rows {
-            rows.policy_mask(plan.policy.as_ref())
+            Ok(rows.policy_mask(&*plan.policy))
         } else {
-            return Err(OsdpError::InvalidInput(format!(
+            Err(OsdpError::InvalidInput(format!(
                 "policy {:?} has no vectorized compilation and this frame-backed \
                  columnar backend retains no rows to fall back on",
                 plan.policy_label
-            )));
-        };
-        let mask = Arc::new(mask);
-        insert_partition(&mut self.partitions.lock(), key, &plan.policy, &mask);
-        Ok(mask)
+            )))
+        }
     }
 }
 
@@ -343,25 +335,11 @@ impl Backend<Record> for ColumnarBackend {
     }
 
     fn scan(&self, plan: &QueryPlan<Record>) -> Result<HistogramPair> {
-        let mask = self.partition_for(plan)?;
+        let mask = cached_partition(&self.partitions, plan, || self.classify(plan))?;
         if let Some(spec) = &plan.bin_spec {
-            // Vectorized binning: one pass over the grouped column, then one
-            // pass over the assignment — no per-record closure calls at all.
-            let assignment = spec.assign(&self.frame, plan.bins)?;
-            let mut full = Histogram::zeros(plan.bins);
-            let mut non_sensitive = Histogram::zeros(plan.bins);
-            let mut dropped = 0.0;
-            for (i, &bin) in assignment.iter().enumerate() {
-                let weight = self.frame.weight(i);
-                if bin == DROPPED_BIN {
-                    dropped += weight;
-                } else {
-                    full.increment(bin as usize, weight);
-                    if mask.get(i) {
-                        non_sensitive.increment(bin as usize, weight);
-                    }
-                }
-            }
+            // One fused pass over the grouped column bins and counts every
+            // row; no per-record closure calls at all.
+            let (full, non_sensitive, dropped) = spec.count_pair(&self.frame, &mask, plan.bins)?;
             Ok(HistogramPair { full, non_sensitive, dropped })
         } else if let Some(rows) = &self.rows {
             // Closure-only query: bin from the retained rows through the
@@ -435,7 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn partition_cache_is_keyed_by_label_and_identity() {
+    fn partition_cache_is_keyed_by_policy_identity() {
         let db = ages_db(100);
         let backend = ColumnarBackend::from_database(db);
         let policy = minors_policy();

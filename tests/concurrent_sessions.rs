@@ -12,8 +12,9 @@
 //!   `osdp_attack::verify_ledger`;
 //! * per-tenant budgets in a `SessionPool` are enforced independently
 //!   (parallel composition across disjoint tenants, Theorem 10.2);
-//! * the sharded task cache derives each task exactly once, no matter how
-//!   many threads race the same query.
+//! * the sharded task cache derives each task exactly once, and a backend
+//!   classifies each policy partition exactly once, no matter how many
+//!   threads race the same query.
 //!
 //! A proptest additionally pins the fixed-point property the whole design
 //! rests on: spend totals are independent of interleaving order.
@@ -365,6 +366,57 @@ fn racing_task_derivations_scan_exactly_once() {
         backend.scans.load(Ordering::SeqCst),
         1,
         "the sharded cache must derive a racing key exactly once"
+    );
+}
+
+#[test]
+fn racing_first_scans_classify_exactly_once() {
+    const ROWS: usize = 20_000;
+    let db: Database<Record> = (0..ROWS)
+        .map(|i| Record::builder().field("v", Value::Int(i as i64 % 100)).build())
+        .collect();
+    let backend = Arc::new(RowBackend::new(db));
+    // The policy counts its own predicate calls: one classification of the
+    // database is ROWS calls.
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&calls);
+    let policy: Arc<dyn Policy<Record>> =
+        Arc::new(ClosurePolicy::new("counted", move |r: &Record| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            r.int("v").map(|v| v < 30).unwrap_or(true)
+        }));
+    let SessionQuery::CountBy { label, bins, bin_of, spec } =
+        SessionQuery::count_by_int_linear("deciles", "v", 0, 10, 10)
+    else {
+        unreachable!("count_by_int_linear builds a CountBy query");
+    };
+    let plan = Arc::new(QueryPlan {
+        label,
+        bins,
+        bin_of,
+        bin_spec: spec,
+        policy,
+        policy_label: "counted".into(),
+        policy_version: 0,
+    });
+    let barrier = Arc::new(Barrier::new(THREADS));
+    let handles: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let (backend, plan, barrier) =
+                (Arc::clone(&backend), Arc::clone(&plan), Arc::clone(&barrier));
+            thread::spawn(move || {
+                barrier.wait();
+                backend.scan(&plan).unwrap()
+            })
+        })
+        .collect();
+    let pairs: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    assert!(pairs.windows(2).all(|w| w[0] == w[1]), "all threads see one pair");
+    assert_eq!(pairs[0].non_sensitive.total(), (ROWS - 3 * ROWS / 10) as f64);
+    assert_eq!(
+        calls.load(Ordering::Relaxed),
+        ROWS,
+        "racing misses of one partition must classify exactly once"
     );
 }
 
